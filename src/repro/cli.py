@@ -442,6 +442,7 @@ def _sweep_record(point, result) -> Dict[str, Any]:
         "total_cycles": result.total_cycles,
         "eu_cycles": result.eu_cycles,
         "instructions": result.instructions,
+        "buffers_digest": result.buffers_digest,
         "simd_efficiency": round(result.simd_efficiency, 6),
         "l3_hit_rate": round(result.l3_hit_rate, 6),
         "memory_divergence": round(result.memory_divergence, 6),
@@ -634,6 +635,9 @@ def _cmd_sweep(args) -> int:
         summary += (f"; {stats.host_seconds:.2f}s simulating at "
                     f"{stats.cycles_per_second:,.0f} cycles/s, "
                     f"{stats.queue_seconds:.2f}s queued")
+    if stats.functional_passes or stats.functional_reused:
+        summary += (f", {stats.functional_passes} functional passes, "
+                    f"{stats.functional_reused} reused")
     if resumed:
         summary += f"; {len(resumed)} resumed from journal"
     if failures:

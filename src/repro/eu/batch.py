@@ -37,12 +37,16 @@ Trace schema — one entry per issued instruction, ``(pc, mask, aux)``:
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import time
 from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.policy import CompactionPolicy
+from ..core.stats import CompactionStats
 from ..errors import DeadlockError, JobTimeoutError
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode, Pipe
@@ -54,7 +58,7 @@ from ..memory.slm import SlmAllocation, SlmTiming
 from .interp import _int_div, _shift_amounts, gather, scatter
 from .maskstack import MaskStack
 
-__all__ = ["run_functional"]
+__all__ = ["FunctionalMemo", "run_functional"]
 
 #: Per-thread functional status codes (plain ints for numpy storage).
 _ACTIVE, _AT_BARRIER, _DONE = 0, 1, 2
@@ -86,6 +90,89 @@ def run_functional(
         program, global_size, local_size, surfaces, scalars, config,
         wall_deadline,
     ).run()
+
+
+class FunctionalMemo:
+    """Functional passes shared by runs that differ only in policy.
+
+    The functional pass never reads ``config.policy``: compaction
+    changes timing, not architectural state.  So one pass per launch
+    can serve a whole policy group, each member replaying the stored
+    traces through its own timing model.  Each entry holds a launch's
+    traces (replay only reads them), every surface's post-pass bytes,
+    and the :class:`CompactionStats` that ``record_trace_stats`` built
+    from the traces (they count cycles for every policy, so they are
+    policy-independent too).  Only successful passes are stored.
+
+    The key is content-based (see :meth:`key`), so a launch whose
+    program, geometry, scalars, input bytes or non-policy config differ
+    simply misses.  ``passes`` and ``reused`` count launches that ran
+    the functional pass and launches served from the memo.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[tuple, tuple] = {}
+        #: id(obj) -> (obj, digest) for programs and configs, so a
+        #: multi-launch job digests each once (holding obj pins its id).
+        self._digests: Dict[int, Tuple[object, str]] = {}
+        self.passes = 0
+        self.reused = 0
+
+    def key(self, program: Program, global_size: int, local_size: int,
+            surfaces: List[np.ndarray], scalars: Dict[str, float],
+            config) -> tuple:
+        """Identity of one launch's functional pass, policy excluded: the
+        program's assembly text, the geometry, the scalars, a digest of
+        every input surface, and the config with its policy pinned."""
+        from ..isa.asm import program_to_text
+        from ..runner import config_digest
+
+        return (
+            self._digest(program, program_to_text),
+            global_size,
+            local_size,
+            tuple(sorted(scalars.items())),
+            tuple(hashlib.blake2b(surface).digest() for surface in surfaces),
+            self._digest(config, lambda c: config_digest(
+                c.with_policy(CompactionPolicy.IVB))),
+        )
+
+    def _digest(self, obj, compute) -> str:
+        hit = self._digests.get(id(obj))
+        if hit is None:
+            hit = self._digests[id(obj)] = (obj, compute(obj))
+        return hit[1]
+
+    def restore(self, key: tuple, surfaces: List[np.ndarray],
+                alu_stats: CompactionStats, simd_stats: CompactionStats
+                ) -> Optional[List[List[TraceEntry]]]:
+        """Replay a stored pass into *surfaces* and the stats; returns
+        its traces, or None when *key* was never stored."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        traces, images, alu, simd = entry
+        for surface, image in zip(surfaces, images):
+            np.copyto(surface, image)
+        alu_stats.merge(alu)
+        simd_stats.merge(simd)
+        self.reused += 1
+        return traces
+
+    def store(self, key: tuple, traces: List[List[TraceEntry]],
+              surfaces: List[np.ndarray], alu_stats: CompactionStats,
+              simd_stats: CompactionStats) -> None:
+        """Keep a successful pass: its traces, the surfaces' post-pass
+        bytes, and a snapshot of the stats recorded from the traces."""
+        self._entries[key] = (traces, [surface.copy() for surface in surfaces],
+                              copy.deepcopy(alu_stats),
+                              copy.deepcopy(simd_stats))
+        self.passes += 1
+
+    def clear(self) -> None:
+        """Drop every stored pass (the counters are kept)."""
+        self._entries.clear()
+        self._digests.clear()
 
 
 class _BatchEngine:

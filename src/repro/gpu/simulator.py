@@ -68,6 +68,7 @@ class GpuSimulator:
         buffers: Optional[Dict[str, np.ndarray]] = None,
         scalars: Optional[Dict[str, float]] = None,
         trace_sink: Optional[list] = None,
+        memo=None,
     ) -> KernelRunResult:
         """Simulate one kernel launch and return its measurements.
 
@@ -77,6 +78,11 @@ class GpuSimulator:
         every ALU instruction's execution mask as a
         :class:`~repro.trace.format.TraceEvent` (the instrumented
         functional model of paper Section 5.1).
+
+        *memo*, a :class:`~repro.eu.batch.FunctionalMemo`, lets the fast
+        engine reuse a functional pass that a run under another policy
+        already made for this launch; the timing replay still runs in
+        full.  The interp engine ignores it.
         """
         config = self.config
         collector = make_collector(config)
@@ -118,11 +124,20 @@ class GpuSimulator:
             # Launch construction above already validated the geometry,
             # so the functional pass can assume it (and resolves
             # local_size the same way the launch did).
-            launch.traces = run_functional(
-                program, global_size, launch.local_size, surfaces,
-                scalars or {}, config, self.wall_deadline,
-            )
-            record_trace_stats(program, launch.traces, alu_stats, simd_stats)
+            key = traces = None
+            if memo is not None:
+                key = memo.key(program, global_size, launch.local_size,
+                               surfaces, scalars or {}, config)
+                traces = memo.restore(key, surfaces, alu_stats, simd_stats)
+            if traces is None:
+                traces = run_functional(
+                    program, global_size, launch.local_size, surfaces,
+                    scalars or {}, config, self.wall_deadline,
+                )
+                record_trace_stats(program, traces, alu_stats, simd_stats)
+                if memo is not None:
+                    memo.store(key, traces, surfaces, alu_stats, simd_stats)
+            launch.traces = traces
 
         now = 0
         # Watchdog state: the last cycle at which any EU issued an

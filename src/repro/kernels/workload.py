@@ -105,6 +105,7 @@ def run_workload(
     host_seconds: Optional[float] = None,
     hostprof=None,
     trace_sink: Optional[List] = None,
+    memo=None,
 ) -> KernelRunResult:
     """Simulate every launch step of *workload* under *config*.
 
@@ -128,6 +129,10 @@ def run_workload(
     instructions as :class:`~repro.trace.format.TraceEvent` records (the
     paper's instrumented functional model), which is how ``repro
     verify`` cross-checks the simulator against the trace profiler.
+
+    *memo*, a :class:`~repro.eu.batch.FunctionalMemo`, is handed to every
+    launch so runs of the same workload under different policies share
+    the fast engine's functional passes (see :meth:`GpuSimulator.run`).
     """
     deadline = (time.monotonic() + host_seconds
                 if host_seconds is not None else None)
@@ -148,6 +153,7 @@ def run_workload(
                 buffers=workload.buffers,
                 scalars=step.scalars,
                 trace_sink=trace_sink,
+                memo=memo,
             )
         )
     if not results:

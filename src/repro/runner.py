@@ -251,6 +251,19 @@ def _execute_named(workload: str, params: Tuple[Tuple[str, Any], ...],
     return run_workload(instance, config, verify=verify, host_seconds=timeout)
 
 
+def _policy_groups(jobs: List[Job]) -> List[List[Job]]:
+    """Split *jobs* into groups that differ only in ``config.policy``
+    (same workload, params and rest of the config), in first-seen order."""
+    from .core.policy import CompactionPolicy
+
+    groups: Dict[Tuple[str, str, str], List[Job]] = {}
+    for job in jobs:
+        key = (job.workload, stable_digest(dict(job.params)),
+               config_digest(job.config.with_policy(CompactionPolicy.IVB)))
+        groups.setdefault(key, []).append(job)
+    return list(groups.values())
+
+
 # ---------------------------------------------------------------------------
 # On-disk result cache
 
@@ -581,6 +594,11 @@ class RunStats:
     timeouts: int = 0
     #: Times the process pool broke and execution fell back to serial.
     degraded: int = 0
+    #: Fast-engine launches that ran their functional pass, and launches
+    #: that replayed a pass a same-group job under another policy made
+    #: (serial path only; the pool path runs one job per task).
+    functional_passes: int = 0
+    functional_reused: int = 0
 
     @property
     def cycles_per_second(self) -> float:
@@ -667,6 +685,8 @@ class Runner:
         # Cumulative counters across the runner's lifetime (test hooks).
         self.total_executed = 0
         self.total_cache_hits = 0
+        self.total_functional_passes = 0
+        self.total_functional_reused = 0
 
     # -- public API --------------------------------------------------------
 
@@ -733,15 +753,15 @@ class Runner:
             if len(named) > 1 and self.workers > 1:
                 self._run_pool(named, results, stats, emit, queued_since)
             else:
-                for job in named:
-                    self._run_local(job, results, stats, emit, queued_since)
-            for job in inline:
-                self._run_local(job, results, stats, emit, queued_since)
+                self._run_serial(named, results, stats, emit, queued_since)
+            self._run_serial(inline, results, stats, emit, queued_since)
         finally:
             stats.wall_seconds = time.perf_counter() - start
             self.last_stats = stats
             self.total_executed += stats.executed
             self.total_cache_hits += stats.cache_hits
+            self.total_functional_passes += stats.functional_passes
+            self.total_functional_reused += stats.functional_reused
 
         if (self.strict if strict is None else strict) and stats.failures:
             raise next(iter(stats.failures.values()))
@@ -781,8 +801,32 @@ class Runner:
             return self.timeout_grace
         return max(2.0, self.timeout or 0.0)
 
+    def _run_serial(self, jobs: List[Job], results, stats, emit,
+                    queued_since: Optional[float] = None) -> None:
+        """Run *jobs* in-process, one policy group at a time.
+
+        Jobs of a group share a :class:`~repro.eu.batch.FunctionalMemo`,
+        so the fast engine makes each launch's functional pass once and
+        replays it under every policy.  The memo lives for one group
+        only: memory stays bounded by one job's launches, and nothing
+        carries over to another group or another :meth:`run` call.
+        """
+        from .eu.batch import FunctionalMemo
+
+        for group in _policy_groups(jobs):
+            memo = FunctionalMemo()
+            try:
+                for job in group:
+                    self._run_local(job, results, stats, emit, queued_since,
+                                    memo)
+            finally:
+                stats.functional_passes += memo.passes
+                stats.functional_reused += memo.reused
+                memo.clear()
+
     def _run_local(self, job: Job, results, stats, emit,
-                   queued_since: Optional[float] = None) -> None:
+                   queued_since: Optional[float] = None,
+                   memo=None) -> None:
         from .kernels.workload import run_workload
 
         # Time spent behind earlier jobs of this batch, measured up to
@@ -795,7 +839,7 @@ class Runner:
             try:
                 result = run_workload(job.build(), job.config,
                                       verify=job.verify and self.verify,
-                                      host_seconds=self.timeout)
+                                      host_seconds=self.timeout, memo=memo)
             except SimulationError as exc:
                 # Typed failures are deterministic: retrying a deadlock
                 # or a verification mismatch would reproduce it.
