@@ -101,9 +101,10 @@ class CompactionStats:
 
         Exactly equivalent to calling :meth:`record` *count* times —
         every counter update is linear in the event — but pays the
-        per-event accounting once.  The fast engine aggregates each
-        launch's functional trace into ``(signature, count)`` pairs and
-        records them here, off the per-issue hot path.
+        per-event accounting once.  Both simulator engines aggregate
+        each launch's issue stream into ``(signature, count)`` pairs and
+        record them here, off the per-issue hot path (see
+        :func:`repro.eu.eu.fold_issue_counts`).
         """
         active, cycles, label, active_quads, total_quads, swizzles = (
             _record_info(mask, width, dtype_factor, self.min_cycles)

@@ -9,10 +9,21 @@ time.  Memory and barrier messages go through the SEND pipe to the
 shared memory hierarchy; structured control flow executes in the front
 end via the per-thread mask stack.
 
-The EU is also the measurement point: every issued SIMD instruction's
-``(width, exec_mask, dtype)`` is recorded into the run's
-:class:`~repro.core.stats.CompactionStats`, exactly like the
-instrumented functional model the paper uses for its trace studies.
+Both engines run the same scan, :meth:`ExecutionUnit.step`.  They differ
+only in where an issuing thread's ``(mask, aux)`` record comes from (the
+trace schema of :mod:`repro.eu.batch`): the interp engine executes the
+instruction on the thread's registers, mask stack and buffers
+(:meth:`ExecutionUnit._execute`); the fast engine reads the next entry
+of the thread's functional trace (:mod:`repro.eu.replay`).  Arbitration,
+pipes, scoreboard, retire, barriers and the memory hierarchy see the
+same records either way.
+
+The EU is also the measurement point: the interp engine counts every
+issued SIMD instruction's ``(pc, exec_mask)`` and
+:func:`fold_issue_counts` folds the counts into the run's
+:class:`~repro.core.stats.CompactionStats` when the launch ends, exactly
+like the instrumented functional model the paper uses for its trace
+studies.  (The fast engine folds its traces the same way, up front.)
 """
 
 from __future__ import annotations
@@ -45,64 +56,107 @@ def _send_occupancy(inst: Instruction) -> int:
     register file: the per-lane address payload for every access, plus
     the data payload for stores (``sources[1]``).  Loads receive their
     data through write-back, which the scoreboard charges separately.
-    Cached on the instruction — immutable after program finalization.
     """
-    cached = inst.__dict__.get("_send_occupancy_cache")
-    if cached is None:
-        moved = sum(len(s.regs(inst.width)) for s in inst.sources
-                    if isinstance(s, RegRef))
-        cached = max(1, moved)
-        inst.__dict__["_send_occupancy_cache"] = cached
-    return cached
+    moved = sum(len(s.regs(inst.width)) for s in inst.sources
+                if isinstance(s, RegRef))
+    return max(1, moved)
 
 
 def _num_reg_sources(inst: Instruction) -> int:
-    """Register source-operand count (RF-traffic accounting), cached."""
-    cached = inst.__dict__.get("_num_reg_sources_cache")
-    if cached is None:
-        cached = sum(1 for s in inst.sources if isinstance(s, RegRef))
-        inst.__dict__["_num_reg_sources_cache"] = cached
-    return cached
-
-
-def _inst_deps(inst: Instruction):
-    """(register, flag) dependency tuples of an instruction, cached.
-
-    Exactly the registers and flags :meth:`Scoreboard.ready_at` probes:
-    reads + writes (RAW/WAW), the predicate flag, and the CMP flag
-    destination.  The hot scan loops inline the readiness max over these
-    instead of calling ``ready_at``.
-    """
-    deps = inst.__dict__.get("_deps_cache")
-    if deps is None:
-        regs = tuple(inst.reads()) + tuple(inst.writes())
-        flags = []
-        if inst.pred is not None:
-            flags.append(inst.pred.index)
-        if inst.flag_dst is not None and inst.flag_dst.index not in flags:
-            flags.append(inst.flag_dst.index)
-        deps = (regs, tuple(flags))
-        inst.__dict__["_deps_cache"] = deps
-    return deps
+    """Register source-operand count (RF-traffic accounting)."""
+    return sum(1 for s in inst.sources if isinstance(s, RegRef))
 
 
 #: Opcode pipe -> index into :attr:`PipeSet.by_index`.
 _PIPE_INDEX = {Pipe.FPU: 0, Pipe.EM: 1, Pipe.SEND: 2}
 
+#: Issue paths of the scan; an instruction's plan selects one.  The
+#: order matters: every kind from ``_ALU`` on is a SIMD instruction whose
+#: issue counts into the compaction statistics.
+_CTRL, _EOT, _BARRIER, _ALU, _SLM, _GLOBAL = range(6)
 
-def _pipe_index(inst: Instruction) -> int:
-    """Pipe index of an instruction (-1 for CTRL), cached on it.
 
-    The arbitration scan and the event-floor walk resolve the pipe for
-    every resident thread every pass; one dict probe on the instruction
-    beats the enum dispatch in :meth:`PipeSet.for_opcode`.
+def _issue_info(inst: Instruction) -> tuple:
+    """``(inst, deps, pipe_index, plan)`` of an instruction, cached on it.
+
+    * ``deps``: the ``(registers, flags)`` :meth:`Scoreboard.ready_at`
+      probes — reads + writes (RAW/WAW), the predicate flag and the flag
+      destination — so the scan can take the readiness max directly.
+    * ``pipe_index``: index into :attr:`PipeSet.by_index`, -1 for CTRL.
+    * ``plan``: ``(kind, data)``, the issue path and the static operands
+      it needs.
+
+    A thread holds this tuple until it advances, so the scan's
+    per-cycle probes cost one attribute load.  Instructions are
+    immutable after program finalization.
     """
-    idx = inst.__dict__.get("_pipe_index_cache")
-    if idx is None:
-        pipe = inst.opcode.pipe
-        idx = -1 if pipe is Pipe.CTRL else _PIPE_INDEX[pipe]
-        inst.__dict__["_pipe_index_cache"] = idx
-    return idx
+    info = inst.__dict__.get("_issue_info_cache")
+    if info is not None:
+        return info
+    op = inst.opcode
+    flags = []
+    if inst.pred is not None:
+        flags.append(inst.pred.index)
+    if inst.flag_dst is not None and inst.flag_dst.index not in flags:
+        flags.append(inst.flag_dst.index)
+    deps = (tuple(inst.reads()) + tuple(inst.writes()), tuple(flags))
+    writes = (tuple(inst.writes())
+              if op.writes_dst and inst.dst is not None else None)
+    if op.pipe is Pipe.CTRL:
+        pidx = -1
+        plan = (_EOT if op is Opcode.EOT else _CTRL, None)
+    else:
+        pidx = _PIPE_INDEX[op.pipe]
+        if op is Opcode.BARRIER:
+            plan = (_BARRIER, None)
+        elif op.is_memory:
+            plan = (_SLM if op.is_slm else _GLOBAL,
+                    (_send_occupancy(inst), writes, inst.surface))
+        else:
+            flag = (inst.flag_dst.index
+                    if op is Opcode.CMP and inst.flag_dst is not None
+                    else None)
+            plan = (_ALU, (op.latency, writes, flag, inst.width,
+                           inst.dtype_factor))
+    info = inst.__dict__["_issue_info_cache"] = (inst, deps, pidx, plan)
+    return info
+
+
+def fold_issue_counts(program, counts: dict, alu_stats: CompactionStats,
+                      simd_stats: CompactionStats) -> None:
+    """Fold ``(pc, mask) -> issues`` counts into a launch's stats.
+
+    :meth:`CompactionStats.record` is pure accumulation, so counting
+    each distinct ``(pc, mask)`` and recording every group once through
+    :meth:`CompactionStats.record_bulk` gives bit-identical counters to
+    recording per issue.  Groups fold in first-seen order, so even the
+    insertion order of ``bucket_counts`` matches per-issue recording
+    when *counts* was filled in issue order.  Control and barrier
+    entries are skipped; memory messages count into *simd_stats* only,
+    with their actual payload operand counts.
+    """
+    sigs: list = []
+    for inst in program.instructions:
+        op = inst.opcode
+        if op.pipe is Pipe.CTRL or op is Opcode.BARRIER:
+            sigs.append(None)
+        elif op.is_memory:
+            sigs.append((True, inst.width, inst.dtype_factor,
+                         _num_reg_sources(inst),
+                         1 if op.writes_dst else 0))
+        else:
+            sigs.append((False, inst.width, inst.dtype_factor,
+                         _num_reg_sources(inst), 1))
+    groups: dict = {}
+    for (pc, mask), n in counts.items():
+        sig = sigs[pc]
+        if sig is not None:
+            key = (sig, mask)
+            groups[key] = groups.get(key, 0) + n
+    for ((is_mem, width, factor, num_src, num_dst), mask), n in groups.items():
+        simd_stats.record_bulk(mask, width, factor, num_src, num_dst, count=n)
+        if not is_mem:
+            alu_stats.record_bulk(mask, width, factor, num_src, count=n)
 
 
 class ExecutionUnit:
@@ -111,22 +165,32 @@ class ExecutionUnit:
     def __init__(self, eu_id: int, config, hierarchy: MemoryHierarchy,
                  alu_stats: CompactionStats, simd_stats: CompactionStats,
                  trace_sink: Optional[list] = None,
-                 telemetry=None, hostprof=None) -> None:
+                 telemetry=None, hostprof=None,
+                 issue_counts: Optional[dict] = None) -> None:
         self.eu_id = eu_id
         self.config = config
         self.hierarchy = hierarchy
+        #: The run's stats; :func:`fold_issue_counts` fills them from
+        #: ``issue_counts`` (interp) or from the traces (fast).
         self.alu_stats = alu_stats
         self.simd_stats = simd_stats
-        #: When set, every issued SIMD instruction's (width, mask) is
+        #: Fast engine: the threads are
+        #: :class:`~repro.eu.replay.ReplayThread` objects, which read
+        #: their records from a trace instead of executing.
+        self.replay = config.engine == "fast"
+        #: Interp: ``(pc, exec_mask) -> issues`` of SIMD instructions,
+        #: shared by a launch's EUs and folded when the launch ends.
+        self.issue_counts = {} if issue_counts is None else issue_counts
+        # Observer hooks.  Each is None when off and then costs the scan
+        # one branch; none of them changes what the scan does.
+        #: When set, every issued ALU instruction's (width, mask) is
         #: appended as a TraceEvent -- the paper's instrumented
         #: functional model (Section 5.1), usable for offline profiling.
         self.trace_sink = trace_sink
         #: Optional :class:`~repro.telemetry.collector.EuTelemetry` view.
-        #: None when telemetry is off: every emission site below is then
-        #: one attribute load and one branch, nothing more.
         self.telemetry = telemetry
         #: Optional :class:`~repro.telemetry.hostprof.HostProfiler` for
-        #: exact per-opcode host-time accounting (None when unprofiled).
+        #: exact per-opcode host-time accounting.
         self.hostprof = hostprof
         self.pipes = PipeSet()
         self.threads: List[Optional[EUThread]] = [None] * config.threads_per_eu
@@ -136,8 +200,7 @@ class ExecutionUnit:
         self._free = config.threads_per_eu
         self._rr = 0  # rotating-priority pointer (paper: rotating/age arbiter)
         self.instructions_issued = 0
-        #: Threads that reached EOT — the simulator's deadlock watchdog
-        #: reads this (with instructions_issued) as its progress signal.
+        #: Threads that reached EOT.
         self.threads_retired = 0
         #: Cached state-only event floor: the earliest arbitration cycle
         #: at which any resident thread could issue, ignoring the caller's
@@ -151,8 +214,8 @@ class ExecutionUnit:
         #: Precomputed arbitration orders, one per rotating-pointer value.
         self._orders: Optional[List[List[int]]] = None
         #: (mask, width, dtype_factor) -> policy execution cycles, a plain
-        #: dict in front of :func:`execution_cycles` for the hot issue
-        #: paths (the policy is fixed for the EU's lifetime).
+        #: dict in front of :func:`execution_cycles` (the policy is fixed
+        #: for the EU's lifetime).
         self._cycles_memo: dict = {}
 
     # -- thread management ---------------------------------------------------
@@ -168,82 +231,236 @@ class ExecutionUnit:
                 self._free -= 1
                 if self.telemetry is not None:
                     self.telemetry.counters.incr("threads.dispatched")
-                    thread.scoreboard.attach_counters(self.telemetry.counters)
                 return
         raise RuntimeError(f"EU{self.eu_id} has no free thread slot")
 
-    def busy(self) -> bool:
-        return any(t is not None for t in self.threads)
-
     # -- per-cycle operation ---------------------------------------------------
 
-    def step(self, now: int) -> None:
-        """Run one arbitration pass (call only on even cycles)."""
-        if now % self.config.issue_period != 0:
-            return
+    def step(self, now: int) -> int:
+        """Run one arbitration pass; return how many instructions issued.
+
+        Call only on arbitration cycles (others return 0).  The scan
+        walks the threads in arbitration order, issues up to
+        ``issue_width`` ready ones, and applies each issue's pipe,
+        scoreboard, memory and retire updates inline.
+
+        The scan doubles as the event-floor walk: a pass that issues
+        nothing has evaluated every resident thread's readiness, so it
+        leaves the exact floor behind; a pass that issues clears the
+        floor for :meth:`_compute_event_floor` to rederive.
+        """
+        config = self.config
+        if now % config.issue_period != 0:
+            return 0
+        tel = self.telemetry
+        floor = self._event_floor
         # Nothing can issue before the cached event floor, so the whole
         # scan would be a no-op — unless telemetry wants the per-slot
         # stall events the scan emits.
-        floor = self._event_floor
-        if floor is not None and now < floor and self.telemetry is None:
-            return
+        if floor is not None and now < floor and tel is None:
+            return 0
+        prof = self.hostprof
+        sink = self.trace_sink
+        if sink is not None:
+            from ..trace.format import TraceEvent
+        replay = self.replay
+        issue_counts = self.issue_counts
         issued = 0
         last_issued = -1
-        order = self._arbitration_order()
-        tel = self.telemetry
+        best = NEVER  # exact floor candidate, valid only if nothing issues
         threads = self.threads
         pipes = self.pipes.by_index
-        issue_width = self.config.issue_width
+        issue_width = config.issue_width
+        policy = config.policy
+        cycles_memo = self._cycles_memo
         active = ThreadState.ACTIVE
-        for slot in order:
+        for slot in self._arbitration_order():
             if issued >= issue_width:
                 break
             thread = threads[slot]
             if thread is None or thread.state is not active:
                 continue
-            # Inlined current_instruction / ready_floor / _pipe_index:
-            # this scan runs for every resident thread on every event
-            # cycle, so each avoided call is measurable host time.
-            inst = thread._inst_cache
-            if inst is None:
-                inst = thread.current_instruction()
-                if inst is None:
-                    continue
+            packed = thread._packed_cache
+            if packed is None:
+                packed = self._fetch(thread)
             ready = thread._ready_cache
-            if ready is None:
-                ready = thread._ready_cache = thread.scoreboard.ready_at(inst)
             if ready < thread.stall_until:
                 ready = thread.stall_until
+            pidx = packed[2]
             if ready > now:
                 if tel is not None:
-                    tel.stall(now, slot,
-                              "scoreboard"
-                              if thread.scoreboard.ready_at(inst) > now
-                              else "dispatch")
+                    tel.stall(now, slot, "scoreboard"
+                              if thread._ready_cache > now else "dispatch")
+                if pidx >= 0:
+                    busy = pipes[pidx].busy_until
+                    if busy > ready:
+                        ready = busy
+                if ready < best:
+                    best = ready
                 continue
-            pidx = inst.__dict__.get("_pipe_index_cache")
-            if pidx is None:
-                pidx = _pipe_index(inst)
-            if pidx >= 0 and pipes[pidx].busy_until > now:
-                if tel is not None:
-                    tel.stall(now, slot, "pipe")
-                continue
-            if self.hostprof is None:
-                self._issue(slot, thread, inst, now)
+            if pidx >= 0:
+                busy = pipes[pidx].busy_until
+                if busy > now:
+                    if tel is not None:
+                        tel.stall(now, slot, "pipe")
+                    if busy < best:
+                        best = busy
+                    continue
+
+            # -- issue ---------------------------------------------------
+            if prof is not None:
+                start = time.perf_counter()
+            thread.instructions_executed += 1
+            thread.last_issue_cycle = now
+            inst = packed[0]
+            kind, data = packed[3]
+            # The record: read from the trace (fast) or executed (interp).
+            if replay:
+                entry = thread.trace[thread.index]
+                thread.index += 1
+                thread._packed_cache = None
+                thread._ready_cache = None
+                mask = entry[1]
+                aux = entry[2]
             else:
-                self._issue_profiled(slot, thread, inst, now)
+                pc = thread.pc
+                mask, aux = self._execute(thread, inst, kind)
+                if kind >= _ALU:
+                    key = (pc, mask)
+                    issue_counts[key] = issue_counts.get(key, 0) + 1
+            if kind == _ALU:
+                latency, writes, flag, width, factor = data
+                cycles = cycles_memo.get((mask, width, factor))
+                if cycles is None:
+                    cycles = cycles_memo[(mask, width, factor)] = (
+                        execution_cycles(mask, width, policy, factor, 1))
+                pipe = pipes[pidx]
+                completion = now + cycles
+                pipe.busy_until = completion
+                pipe.busy_cycles += cycles
+                completion += latency
+                if writes is not None:
+                    reg_ready = thread.scoreboard._reg_ready
+                    for reg in writes:
+                        if completion > reg_ready.get(reg, 0):
+                            reg_ready[reg] = completion
+                    if tel is not None:
+                        tel.counters.incr("scoreboard.reg_writes")
+                if flag is not None:
+                    flag_ready = thread.scoreboard._flag_ready
+                    if completion > flag_ready.get(flag, 0):
+                        flag_ready[flag] = completion
+                    if tel is not None:
+                        tel.counters.incr("scoreboard.flag_writes")
+                if tel is not None:
+                    tel.alu_issue(now, inst, mask, cycles, pipe.name, policy)
+                if sink is not None:
+                    sink.append(TraceEvent(width, mask, factor))
+            elif kind >= _SLM:
+                occupancy, writes, surface = data
+                send = pipes[pidx]
+                send.busy_until = now + occupancy
+                send.busy_cycles += occupancy
+                if tel is not None:
+                    tel.mem_issue(now, inst, mask, occupancy)
+                if mask == 0:
+                    completion = now + 1  # suppressed message
+                elif kind == _SLM:
+                    # aux: the bank-conflict cycles.  Executing the access
+                    # already counted it; a replayed one counts here.
+                    wg = thread.workgroup
+                    if replay and wg is not None:
+                        wg.slm_timing.accesses += 1
+                        wg.slm_timing.conflict_cycles += (
+                            aux - wg.slm_timing.latency)
+                    completion = now + aux
+                else:
+                    completion = self.hierarchy.access(
+                        now, [(surface, line) for line in aux])
+                if writes is not None:
+                    reg_ready = thread.scoreboard._reg_ready
+                    for reg in writes:
+                        if completion > reg_ready.get(reg, 0):
+                            reg_ready[reg] = completion
+            elif kind == _CTRL:
+                if tel is not None:
+                    # Post-instruction mask population: the divergence
+                    # timeline.
+                    tel.ctrl_issue(now, inst, mask, inst.width)
+            elif kind == _EOT:
+                thread.state = ThreadState.DONE
+                threads[slot] = None
+                self._free += 1
+                self.threads_retired += 1
+                if tel is not None:
+                    tel.thread_retired(now)
+                if thread.workgroup is not None:
+                    thread.workgroup.thread_done(now)
+            else:  # _BARRIER; the thread resumes after it on release
+                if tel is not None:
+                    tel.barrier(now)
+                wg = thread.workgroup
+                if wg is not None:  # free-standing thread: a no-op
+                    thread.state = ThreadState.AT_BARRIER
+                    wg.arrive_barrier(thread, now, config.barrier_latency)
+            if prof is not None:
+                prof.add_opcode(inst.opcode.name, time.perf_counter() - start)
             issued += 1
             last_issued = slot
         if issued:
+            self.instructions_issued += issued
             # Rotate past the last slot that actually issued, not past
             # the head of the order: a stalled head thread that never got
             # to issue must keep its priority, or it can be starved by
             # the threads behind it issuing pass after pass.
-            self._rr = (last_issued + 1) % len(self.threads)
+            self._rr = (last_issued + 1) % len(threads)
             self._event_floor = None
-        elif floor is not None and floor <= now:
-            # A stale floor in the past would defeat the skip above.
-            self._event_floor = None
+        else:
+            if best < NEVER:
+                period = config.issue_period
+                rem = best % period
+                if rem:
+                    best += period - rem
+            self._event_floor = best
+        return issued
+
+    def _fetch(self, thread: EUThread) -> tuple:
+        """Cache *thread*'s next instruction's issue info and readiness.
+
+        Sets ``_packed_cache`` (see :func:`_issue_info`) and
+        ``_ready_cache``, the cycle its scoreboard dependencies clear.
+        Both stay valid until the thread issues: only its own issues
+        change its scoreboard, and every issue clears both.
+        """
+        try:
+            pc = (thread.trace[thread.index][0] if self.replay
+                  else thread.pc)
+            inst = thread.program.instructions[pc]
+        except IndexError:
+            raise RuntimeError(
+                f"thread {thread.thread_id} ran past the end of its "
+                f"instruction stream without retiring"
+            ) from None
+        info = inst.__dict__.get("_issue_info_cache")
+        if info is None:
+            info = _issue_info(inst)
+        thread._packed_cache = info
+        scoreboard = thread.scoreboard
+        reg_ready = scoreboard._reg_ready
+        flag_ready = scoreboard._flag_ready
+        ready = 0
+        if reg_ready:
+            for reg in info[1][0]:
+                r = reg_ready.get(reg, 0)
+                if r > ready:
+                    ready = r
+        if flag_ready:
+            for flag in info[1][1]:
+                r = flag_ready.get(flag, 0)
+                if r > ready:
+                    ready = r
+        thread._ready_cache = ready
+        return info
 
     def _arbitration_order(self) -> List[int]:
         orders = self._orders
@@ -281,11 +498,10 @@ class ExecutionUnit:
     def _compute_event_floor(self) -> int:
         """State-only part of :meth:`next_event` (no ``now`` floor).
 
-        The round-up to the arbitration boundary is monotone, so it
-        commutes with the min over threads and is applied once at the
-        end.  The scoreboard readiness max is inlined over the cached
-        dependency lists (see :func:`_inst_deps`) rather than calling
-        ``ready_at`` — this walk runs after every issuing pass.
+        Per thread ``max(ready, stall, pipe_busy)``, the same candidate
+        a non-issuing :meth:`step` collects.  The round-up to the
+        arbitration boundary is monotone, so it commutes with the min
+        over threads and is applied once at the end.
         """
         best = NEVER
         pipes = self.pipes.by_index
@@ -293,37 +509,13 @@ class ExecutionUnit:
         for thread in self.threads:
             if thread is None or thread.state is not active:
                 continue
-            inst = thread._inst_cache
-            if inst is None:
-                inst = thread.current_instruction()
-                if inst is None:
-                    continue
+            packed = thread._packed_cache
+            if packed is None:
+                packed = self._fetch(thread)
             t = thread._ready_cache
-            if t is None:
-                scoreboard = thread.scoreboard
-                reg_ready = scoreboard._reg_ready
-                flag_ready = scoreboard._flag_ready
-                t = 0
-                if reg_ready or flag_ready:
-                    deps = inst.__dict__.get("_deps_cache")
-                    if deps is None:
-                        deps = _inst_deps(inst)
-                    if reg_ready:
-                        for reg in deps[0]:
-                            r = reg_ready.get(reg, 0)
-                            if r > t:
-                                t = r
-                    if flag_ready:
-                        for flag in deps[1]:
-                            r = flag_ready.get(flag, 0)
-                            if r > t:
-                                t = r
-                thread._ready_cache = t
             if t < thread.stall_until:
                 t = thread.stall_until
-            pidx = inst.__dict__.get("_pipe_index_cache")
-            if pidx is None:
-                pidx = _pipe_index(inst)
+            pidx = packed[2]
             if pidx >= 0:
                 busy = pipes[pidx].busy_until
                 if busy > t:
@@ -337,176 +529,102 @@ class ExecutionUnit:
                 best += period - rem
         return best
 
-    # -- issue paths ----------------------------------------------------------
+    # -- the interp engine's record source ------------------------------------
 
-    def _issue_profiled(self, slot: int, thread: EUThread, inst: Instruction,
-                        now: int) -> None:
-        """Issue wrapper charging exact host time to the opcode (hostprof)."""
-        start = time.perf_counter()
-        try:
-            self._issue(slot, thread, inst, now)
-        finally:
-            self.hostprof.add_opcode(inst.opcode.name,
-                                     time.perf_counter() - start)
+    def _execute(self, thread: EUThread, inst: Instruction,
+                 kind: int) -> tuple:
+        """Execute *inst* on *thread*; return its ``(mask, aux)`` record.
 
-    def _issue(self, slot: int, thread: EUThread, inst: Instruction, now: int) -> None:
-        self.instructions_issued += 1
-        thread.instructions_executed += 1
-        thread.last_issue_cycle = now
-        op = inst.opcode
-        if op.pipe is Pipe.CTRL:
-            self._issue_control(slot, thread, inst, now)
-        elif op is Opcode.BARRIER:
-            self._issue_barrier(thread, inst, now)
-        elif op.is_memory:
-            self._issue_memory(thread, inst, now)
-        else:
-            self._issue_alu(thread, inst, now)
-
-    def _issue_control(self, slot: int, thread: EUThread, inst: Instruction, now: int) -> None:
-        op = inst.opcode
+        Registers, flags, the mask stack and buffers change as the
+        instruction says, and the pc moves past it (EOT leaves it in
+        place).  The record follows the trace schema of
+        :mod:`repro.eu.batch`: the execution mask (for SEL the current
+        mask; for control the post-instruction mask population), with
+        ``aux`` the SLM conflict cycles or the global cache lines of a
+        memory message that is not suppressed.
+        """
         masks = thread.masks
         next_pc: Optional[int] = None
-        if op is Opcode.IF:
-            flag = thread.pred_mask(inst)
-            target_is_else = (
-                inst.target > 0
-                and thread.program.instructions[inst.target - 1].opcode is Opcode.ELSE
-            )
-            next_pc = masks.do_if(flag, inst.target, target_is_else)
-        elif op is Opcode.ELSE:
-            next_pc = masks.do_else(inst.target)
-        elif op is Opcode.ENDIF:
-            masks.do_endif()
-        elif op is Opcode.DO:
-            next_pc = masks.do_do(inst.target)
-        elif op is Opcode.BREAK:
-            masks.do_break(thread.pred_mask(inst))
-        elif op is Opcode.WHILE:
-            next_pc = masks.do_while(thread.pred_mask(inst), inst.target)
-        elif op is Opcode.EOT:
-            thread.state = ThreadState.DONE
-            self.threads[slot] = None
-            self._free += 1
-            self.threads_retired += 1
-            if self.telemetry is not None:
-                self.telemetry.thread_retired(now)
-            if thread.workgroup is not None:
-                thread.workgroup.thread_done(now)
-            return
-        else:  # pragma: no cover - exhaustive over CTRL opcodes
-            raise NotImplementedError(f"control opcode {op}")
-        if self.telemetry is not None:
-            # Post-instruction mask population: the divergence timeline.
-            self.telemetry.ctrl_issue(now, inst, masks.current, inst.width)
+        aux = None
+        if kind == _ALU:
+            if inst.opcode is Opcode.SEL:
+                # The predicate is the per-lane selector, not an
+                # execution mask.
+                mask = masks.current
+                execute_alu(inst, mask, thread.grf, thread.flags,
+                            thread.pred_mask(inst))
+            else:
+                mask = masks.exec_mask(thread.pred_mask(inst))
+                execute_alu(inst, mask, thread.grf, thread.flags)
+        elif kind >= _SLM:
+            mask = masks.exec_mask(thread.pred_mask(inst))
+            offsets = thread.grf.read(inst.sources[0], inst.width)
+            if mask:
+                aux = (_do_slm(thread, inst, offsets, mask) if kind == _SLM
+                       else _do_global(thread, inst, offsets, mask))
+        elif kind == _CTRL:
+            op = inst.opcode
+            if op is Opcode.IF:
+                target_is_else = (
+                    inst.target > 0
+                    and thread.program.instructions[inst.target - 1].opcode
+                    is Opcode.ELSE
+                )
+                next_pc = masks.do_if(thread.pred_mask(inst), inst.target,
+                                      target_is_else)
+            elif op is Opcode.ELSE:
+                next_pc = masks.do_else(inst.target)
+            elif op is Opcode.ENDIF:
+                masks.do_endif()
+            elif op is Opcode.DO:
+                next_pc = masks.do_do(inst.target)
+            elif op is Opcode.BREAK:
+                masks.do_break(thread.pred_mask(inst))
+            elif op is Opcode.WHILE:
+                next_pc = masks.do_while(thread.pred_mask(inst), inst.target)
+            else:  # pragma: no cover - exhaustive over CTRL opcodes
+                raise NotImplementedError(f"control opcode {op}")
+            mask = masks.current
+        elif kind == _EOT:
+            return masks.current, None
+        else:  # _BARRIER
+            mask = masks.current
         thread.advance(next_pc)
+        return mask, aux
 
-    def _issue_barrier(self, thread: EUThread, inst: Instruction, now: int) -> None:
-        if self.telemetry is not None:
-            self.telemetry.barrier(now)
-        thread.advance(None)  # resume after the barrier on release
-        wg = thread.workgroup
-        if wg is None:
-            return  # free-standing thread: barrier is a no-op
-        thread.state = ThreadState.AT_BARRIER
-        wg.arrive_barrier(thread, now, self.config.barrier_latency)
 
-    def _issue_alu(self, thread: EUThread, inst: Instruction, now: int) -> None:
-        if inst.opcode is Opcode.SEL:
-            # The predicate is the per-lane selector, not an execution mask.
-            exec_mask = thread.masks.current
-            selector = thread.pred_mask(inst)
-        else:
-            exec_mask = thread.masks.exec_mask(thread.pred_mask(inst))
-            selector = 0
-        num_src = _num_reg_sources(inst)
-        self.alu_stats.record(exec_mask, inst.width, inst.dtype_factor, num_src)
-        self.simd_stats.record(exec_mask, inst.width, inst.dtype_factor, num_src)
-        if self.trace_sink is not None:
-            from ..trace.format import TraceEvent
-
-            self.trace_sink.append(
-                TraceEvent(inst.width, exec_mask, inst.dtype_factor))
-
-        cycles = execution_cycles(
-            exec_mask, inst.width, self.config.policy, inst.dtype_factor, min_cycles=1
+def _do_slm(thread: EUThread, inst: Instruction, offsets,
+            exec_mask: int) -> int:
+    """Execute an SLM message; return its bank-conflict cycles."""
+    wg = thread.workgroup
+    if wg is None or wg.slm is None:
+        raise RuntimeError(
+            f"kernel {thread.program.name!r} uses SLM but none was allocated"
         )
-        pipe = self.pipes.for_opcode(inst.opcode)
-        drain = pipe.issue(now, cycles)
-        completion = drain + inst.opcode.latency
-        thread.scoreboard.record(inst, completion)
-        if self.telemetry is not None:
-            self.telemetry.alu_issue(now, inst, exec_mask, cycles, pipe.name,
-                                     self.config.policy)
-        execute_alu(inst, exec_mask, thread.grf, thread.flags, selector)
-        thread.advance(None)
+    cycles = wg.slm_timing.access_cycles(offsets, exec_mask)
+    if inst.opcode is Opcode.LOAD_SLM:
+        values = gather(wg.slm.data, offsets, exec_mask, inst.dtype)
+        thread.grf.write(inst.dst, inst.width, values, exec_mask)
+    else:
+        values = thread.grf.read(inst.sources[1], inst.width)
+        scatter(wg.slm.data, offsets, values, exec_mask, inst.dtype)
+    return cycles
 
-    def _issue_memory(self, thread: EUThread, inst: Instruction, now: int) -> None:
-        exec_mask = thread.masks.exec_mask(thread.pred_mask(inst))
-        # SEND register-file traffic is the message payload it actually
-        # moves: the address register (plus store data) read from the
-        # GRF, and the load result written back.  The ALU defaults
-        # (2 src + 1 dst) would overcharge every memory instruction and
-        # inflate the Section 4.1 RF-savings metric.
-        num_src = _num_reg_sources(inst)
-        num_dst = 1 if inst.opcode.writes_dst else 0
-        self.simd_stats.record(exec_mask, inst.width, inst.dtype_factor,
-                               num_src, num_dst)
-        width = inst.width
-        addr_ref = inst.sources[0]
-        offsets = thread.grf.read(addr_ref, width)
 
-        # SEND pipe occupancy: one cycle per 256-bit register the message
-        # moves out of the GRF — the address payload, plus the data
-        # payload for stores.  (Loads return their data via write-back,
-        # charged by the scoreboard, not by message occupancy.)
-        occupancy = _send_occupancy(inst)
-        self.pipes.send.issue(now, occupancy)
-        if self.telemetry is not None:
-            self.telemetry.mem_issue(now, inst, exec_mask, occupancy)
-
-        if exec_mask == 0:
-            completion = now + 1  # suppressed message
-        elif inst.opcode.is_slm:
-            completion = now + self._do_slm(thread, inst, offsets, exec_mask)
-        else:
-            completion = self._do_global(thread, inst, offsets, exec_mask, now)
-
-        if inst.opcode.writes_dst:
-            thread.scoreboard.mark_write(inst.writes(), completion)
-        thread.advance(None)
-
-    def _do_slm(self, thread: EUThread, inst: Instruction, offsets, exec_mask: int) -> int:
-        wg = thread.workgroup
-        if wg is None or wg.slm is None:
-            raise RuntimeError(
-                f"kernel {thread.program.name!r} uses SLM but none was allocated"
-            )
-        cycles = wg.slm_timing.access_cycles(offsets, exec_mask)
-        if inst.opcode is Opcode.LOAD_SLM:
-            values = gather(wg.slm.data, offsets, exec_mask, inst.dtype)
-            thread.grf.write(inst.dst, inst.width, values, exec_mask)
-        else:
-            values = thread.grf.read(inst.sources[1], inst.width)
-            scatter(wg.slm.data, offsets, values, exec_mask, inst.dtype)
-        return cycles
-
-    def _do_global(self, thread: EUThread, inst: Instruction, offsets, exec_mask: int,
-                   now: int) -> int:
-        wg = thread.workgroup
-        if wg is None:
-            raise RuntimeError("global memory access outside a launch context")
-        surface = wg.surfaces[inst.surface]
-        if inst.opcode is Opcode.LOAD:
-            values = gather(surface, offsets, exec_mask, inst.dtype)
-            thread.grf.write(inst.dst, inst.width, values, exec_mask)
-        else:
-            values = thread.grf.read(inst.sources[1], inst.width)
-            scatter(surface, offsets, values, exec_mask, inst.dtype)
-
-        size = inst.dtype.size
-        offs = offsets[_mask_bools(exec_mask, inst.width)].astype(np.int64)
-        line_nums = np.unique(np.concatenate(
-            [offs // LINE_BYTES, (offs + size - 1) // LINE_BYTES]))
-        lines = [(inst.surface, int(n)) for n in line_nums]
-        return self.hierarchy.access(now, lines)
+def _do_global(thread: EUThread, inst: Instruction, offsets,
+               exec_mask: int) -> list:
+    """Execute a global message; return the sorted distinct cache lines."""
+    wg = thread.workgroup
+    if wg is None:
+        raise RuntimeError("global memory access outside a launch context")
+    surface = wg.surfaces[inst.surface]
+    if inst.opcode is Opcode.LOAD:
+        values = gather(surface, offsets, exec_mask, inst.dtype)
+        thread.grf.write(inst.dst, inst.width, values, exec_mask)
+    else:
+        values = thread.grf.read(inst.sources[1], inst.width)
+        scatter(surface, offsets, values, exec_mask, inst.dtype)
+    size = inst.dtype.size
+    offs = offsets[_mask_bools(exec_mask, inst.width)].astype(np.int64)
+    return np.unique(np.concatenate(
+        [offs // LINE_BYTES, (offs + size - 1) // LINE_BYTES])).tolist()

@@ -54,12 +54,10 @@ class RegisterFile:
         """
         view = self._operand_view(ref, width)
         values = np.asarray(values, dtype=ref.dtype.np_dtype)
-        values = np.broadcast_to(values, (width,))
         if lane_mask == (1 << width) - 1:
             view[:] = values
-            return
-        enabled = _mask_bools(lane_mask, width)
-        view[enabled] = values[enabled]
+        else:
+            np.copyto(view, values, where=_mask_bools(lane_mask, width))
 
     def broadcast(self, ref: RegRef, width: int, value) -> None:
         """Fill all *width* lanes of the operand with *value* (dispatch)."""

@@ -51,7 +51,7 @@ class PipeSet:
         self.fpu = ExecPipe("fpu")
         self.em = ExecPipe("em")
         self.send = ExecPipe("send")
-        #: Index-addressable view (see ``repro.eu.eu._pipe_index``) so hot
+        #: Index-addressable view (see ``repro.eu.eu._issue_info``) so hot
         #: loops can skip the enum dispatch in :meth:`for_opcode`.
         self.by_index = (self.fpu, self.em, self.send)
 

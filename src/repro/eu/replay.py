@@ -3,79 +3,53 @@
 :mod:`repro.eu.batch` produces, per hardware thread, the exact sequence
 of ``(pc, mask, aux)`` issue records the interleaved interpreter would
 have generated.  This module feeds those records through the *unchanged*
-timing machinery: :class:`ReplayExecutionUnit` subclasses
-:class:`~repro.eu.eu.ExecutionUnit` and overrides only the four issue
-paths, so arbitration (``step``), event scheduling (``next_event``),
-pipe occupancy, scoreboard bookkeeping, compaction-policy cycle charging
-and memory-hierarchy state all run the very same code as the interp
-engine — the two engines can only differ in what the issue paths no
-longer do: touch registers, flags, or buffers.
+timing machinery: a :class:`ReplayThread` carries its trace, and
+:meth:`ExecutionUnit.step <repro.eu.eu.ExecutionUnit.step>` reads each
+issuing thread's record from it instead of executing the instruction.
+Arbitration, event scheduling, pipe occupancy, scoreboard bookkeeping,
+compaction-policy cycle charging and memory-hierarchy state all run the
+one scan both engines share; the engines can only differ in what the
+replay skips: touching registers, flags, or buffers.
 
 Trace schema: see :mod:`repro.eu.batch`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from collections import Counter
 from operator import itemgetter
+from typing import List, Optional
 
-from ..core.policy import execution_cycles
 from ..gpu.dispatch import Launch
-from ..isa.instruction import Instruction
-from ..isa.opcodes import Opcode, Pipe
-from ..isa.registers import RegRef
-from .eu import (NEVER, ExecutionUnit, _inst_deps, _num_reg_sources,
-                 _pipe_index, _send_occupancy)
-from .thread import EUThread, ThreadState
+from .eu import fold_issue_counts
+from .thread import EUThread
 
-__all__ = ["ReplayThread", "ReplayLaunch", "ReplayExecutionUnit",
-           "record_trace_stats"]
+__all__ = ["ReplayThread", "ReplayLaunch", "record_trace_stats"]
 
 
 def record_trace_stats(program, traces, alu_stats, simd_stats) -> None:
     """Fold a launch's functional traces into the run's CompactionStats.
 
-    :meth:`CompactionStats.record` is pure accumulation — order never
-    matters — so instead of recording per issued instruction inside the
-    cycle loop (as the interp engine must, since it discovers the stream
-    as it executes), the fast engine aggregates the already-known stream
-    into ``(signature, count)`` pairs and bulk-records them up front.
-    The resulting counters are bit-identical to per-issue recording.
+    The fast engine knows the whole issue stream before the cycle loop
+    starts, so it counts ``(pc, mask)`` pairs over the traces (at C
+    speed: ~50k entries per big workload make a per-entry Python loop
+    the measurable cost) and folds them up front with
+    :func:`~repro.eu.eu.fold_issue_counts`, the same fold the interp
+    engine applies to the pairs it counts while issuing.
     """
-    sigs: list = []
-    for inst in program.instructions:
-        op = inst.opcode
-        if op.pipe is Pipe.CTRL or op is Opcode.BARRIER:
-            sigs.append(None)
-        elif op.is_memory:
-            sigs.append((True, inst.width, inst.dtype_factor,
-                         _num_reg_sources(inst),
-                         1 if op.writes_dst else 0))
-        else:
-            sigs.append((False, inst.width, inst.dtype_factor,
-                         _num_reg_sources(inst), 1))
-    # Count (pc, mask) pairs at C speed first, then fold by signature;
-    # ~50k trace entries per big workload makes a per-entry Python loop
-    # the measurable cost here.
     pc_mask = itemgetter(0, 1)
     pair_counts: Counter = Counter()
     for trace in traces:
         pair_counts.update(map(pc_mask, trace))
-    counts: Counter = Counter()
-    for (pc, mask), n in pair_counts.items():
-        sig = sigs[pc]
-        if sig is not None:
-            counts[(sig, mask)] += n
-    for ((is_mem, width, factor, num_src, num_dst), mask), n in counts.items():
-        simd_stats.record_bulk(mask, width, factor, num_src, num_dst, count=n)
-        if not is_mem:
-            alu_stats.record_bulk(mask, width, factor, num_src, count=n)
+    fold_issue_counts(program, pair_counts, alu_stats, simd_stats)
 
 
 class ReplayThread(EUThread):
-    """An EU thread that walks a recorded issue trace instead of a pc."""
+    """An EU thread that walks a recorded issue trace instead of a pc.
+
+    ``index`` is the position of the next record in ``trace``; the EU's
+    scan reads the record and advances it when the thread issues.
+    """
 
     def __init__(self, thread_id: int, program, dispatch_mask: int,
                  trace: List[tuple], workgroup=None, start_cycle: int = 0) -> None:
@@ -83,41 +57,6 @@ class ReplayThread(EUThread):
                          workgroup=workgroup, start_cycle=start_cycle)
         self.trace = trace
         self.index = 0
-        instructions = program.instructions
-        #: Instruction object per trace entry, resolved once up front so
-        #: the arbiter's per-cycle probes skip the pc indirection.
-        self._insts = [instructions[entry[0]] for entry in trace]
-        #: Cached ``(inst, deps, pipe_index, plan)`` for the current
-        #: trace entry (see :func:`_fast_info`); populated lazily by the
-        #: flattened step/floor walks, cleared on every advance.  The
-        #: fallback paths use ``_inst_cache`` instead; the two caches
-        #: are never live in the same run.
-        self._packed_cache = None
-
-    def entry(self) -> tuple:
-        return self.trace[self.index]
-
-    def current_instruction(self) -> Optional[Instruction]:
-        if self.state is not ThreadState.ACTIVE:
-            return None
-        inst = self._inst_cache
-        if inst is None:
-            try:
-                inst = self._inst_cache = self._insts[self.index]
-            except IndexError:
-                raise RuntimeError(
-                    f"thread {self.thread_id} ran past its functional trace "
-                    f"({len(self.trace)} entries) without retiring"
-                ) from None
-        return inst
-
-    def advance(self, next_pc: Optional[int]) -> None:
-        # Control flow was already resolved functionally; the trace *is*
-        # the instruction stream, so any next_pc is implied by entry order.
-        self.index += 1
-        self._ready_cache = None
-        self._inst_cache = None
-        self._packed_cache = None
 
 
 class ReplayLaunch(Launch):
@@ -154,376 +93,3 @@ class ReplayLaunch(Launch):
                        local_base: int) -> None:
         # Scalar-argument presence was validated by the functional pass.
         pass
-
-
-#: Per-instruction issue plan for the flattened replay step, cached on
-#: the instruction (immutable after finalization).  ``kind`` selects the
-#: inlined issue path; ``data`` carries the static operands it needs.
-_CTRL, _EOT, _BARRIER_K, _ALU, _SLM_K, _GLOBAL_K = range(6)
-
-
-def _replay_plan(inst: Instruction):
-    plan = inst.__dict__.get("_replay_plan_cache")
-    if plan is None:
-        op = inst.opcode
-        writes = (tuple(inst.writes())
-                  if op.writes_dst and inst.dst is not None else None)
-        if op.pipe is Pipe.CTRL:
-            plan = (_EOT if op is Opcode.EOT else _CTRL, None)
-        elif op is Opcode.BARRIER:
-            plan = (_BARRIER_K, None)
-        elif op.is_memory:
-            plan = (_SLM_K if op.is_slm else _GLOBAL_K,
-                    (_send_occupancy(inst), writes, inst.surface))
-        else:
-            flag = (inst.flag_dst.index
-                    if op is Opcode.CMP and inst.flag_dst is not None else None)
-            plan = (_ALU, (op.latency, writes, flag,
-                           inst.width, inst.dtype_factor))
-        inst.__dict__["_replay_plan_cache"] = plan
-    return plan
-
-
-def _fast_info(inst: Instruction):
-    """``(deps, pipe_index, plan)`` packed in one per-instruction cache.
-
-    The flattened step and floor walks fetch this once per trace entry
-    (cached on the thread until it advances), replacing the three
-    separate ``inst.__dict__`` probes the generic paths pay per cycle.
-    """
-    info = inst.__dict__.get("_fast_info_cache")
-    if info is None:
-        info = inst.__dict__["_fast_info_cache"] = (
-            _inst_deps(inst), _pipe_index(inst), _replay_plan(inst))
-    return info
-
-
-class ReplayExecutionUnit(ExecutionUnit):
-    """An EU whose issue paths consume trace records, not registers."""
-
-    def step(self, now: int) -> None:
-        """Flattened arbitration + issue pass for the replay engine.
-
-        Timing-equivalent to :meth:`ExecutionUnit.step` by construction:
-        the scan performs the same eligibility checks in the same order,
-        and each inlined issue path applies the same pipe, scoreboard
-        and retirement updates as the ``_issue_*`` methods it replaces —
-        it only skips the per-instruction call chain, which is most of
-        the replay engine's host time.  The engine-parity suite pins the
-        equivalence (identical ``total_cycles`` against the interp
-        engine on mask-deterministic workloads).  Observers need the
-        generic paths (stall events, per-opcode host timing, trace
-        sinks), so their presence falls back to the base implementation.
-
-        The scan doubles as the event-floor walk: a pass that issues
-        nothing has already evaluated every resident thread's readiness,
-        so the exact floor falls out for free; a pass that issues leaves
-        the trivially sound floor ``align(now + 1)`` (no issue can
-        happen before the next arbitration boundary) instead of paying
-        a separate :meth:`_compute_event_floor` walk.  Floors may be
-        *loose-low*, never high: the simulator just wakes the EU for a
-        scan that then computes the exact value.
-        """
-        if self.telemetry is not None or self.hostprof is not None \
-                or self.trace_sink is not None:
-            super().step(now)
-            return
-        config = self.config
-        if now % config.issue_period != 0:
-            return
-        floor = self._event_floor
-        if floor is not None and now < floor:
-            return
-        issued = 0
-        last_issued = -1
-        best = NEVER  # exact floor candidate, valid only if nothing issues
-        threads = self.threads
-        pipes = self.pipes.by_index
-        issue_width = config.issue_width
-        policy = config.policy
-        cycles_memo = self._cycles_memo
-        active = ThreadState.ACTIVE
-        for slot in self._arbitration_order():
-            if issued >= issue_width:
-                break
-            thread = threads[slot]
-            if thread is None or thread.state is not active:
-                continue
-            packed = thread._packed_cache
-            if packed is None:
-                # Inlined ReplayThread.current_instruction (state is
-                # known ACTIVE here, so it cannot return None), plus
-                # the instruction's packed issue metadata.
-                try:
-                    inst = thread._insts[thread.index]
-                except IndexError:
-                    raise RuntimeError(
-                        f"thread {thread.thread_id} ran past its functional "
-                        f"trace ({len(thread.trace)} entries) without "
-                        f"retiring"
-                    ) from None
-                info = inst.__dict__.get("_fast_info_cache")
-                if info is None:
-                    info = _fast_info(inst)
-                packed = thread._packed_cache = (
-                    inst, info[0], info[1], info[2])
-            ready = thread._ready_cache
-            if ready is None:
-                # Inlined Scoreboard.ready_at over the cached dep lists.
-                scoreboard = thread.scoreboard
-                reg_ready = scoreboard._reg_ready
-                flag_ready = scoreboard._flag_ready
-                ready = 0
-                if reg_ready or flag_ready:
-                    deps = packed[1]
-                    if reg_ready:
-                        for reg in deps[0]:
-                            r = reg_ready.get(reg, 0)
-                            if r > ready:
-                                ready = r
-                    if flag_ready:
-                        for flag in deps[1]:
-                            r = flag_ready.get(flag, 0)
-                            if r > ready:
-                                ready = r
-                thread._ready_cache = ready
-            if ready < thread.stall_until:
-                ready = thread.stall_until
-            pidx = packed[2]
-            if ready > now:
-                # Candidate for the merged floor: when the pass ends up
-                # issuing nothing these per-thread values are exactly
-                # what _compute_event_floor would rederive.
-                if pidx >= 0:
-                    busy = pipes[pidx].busy_until
-                    if busy > ready:
-                        ready = busy
-                if ready < best:
-                    best = ready
-                continue
-            if pidx >= 0:
-                busy = pipes[pidx].busy_until
-                if busy > now:
-                    if busy < best:
-                        best = busy
-                    continue
-
-            # -- issue (mirrors _issue + the per-kind _issue_* path) ----
-            self.instructions_issued += 1
-            thread.instructions_executed += 1
-            thread.last_issue_cycle = now
-            kind, data = packed[3]
-            if kind == _ALU:
-                latency, writes, flag, width, factor = data
-                mask = thread.trace[thread.index][1]
-                cycles = cycles_memo.get((mask, width, factor))
-                if cycles is None:
-                    cycles = cycles_memo[(mask, width, factor)] = (
-                        execution_cycles(mask, width, policy, factor, 1))
-                pipe = pipes[pidx]
-                completion = now + cycles
-                pipe.busy_until = completion
-                pipe.busy_cycles += cycles
-                completion += latency
-                if writes is not None:
-                    reg_ready = thread.scoreboard._reg_ready
-                    for reg in writes:
-                        if completion > reg_ready.get(reg, 0):
-                            reg_ready[reg] = completion
-                if flag is not None:
-                    flag_ready = thread.scoreboard._flag_ready
-                    if completion > flag_ready.get(flag, 0):
-                        flag_ready[flag] = completion
-                thread.index += 1
-                thread._ready_cache = None
-                thread._packed_cache = None
-            elif kind == _SLM_K or kind == _GLOBAL_K:
-                occupancy, writes, surface = data
-                entry = thread.trace[thread.index]
-                mask = entry[1]
-                send = pipes[2]
-                send.busy_until = now + occupancy
-                send.busy_cycles += occupancy
-                if mask == 0:
-                    completion = now + 1  # suppressed message
-                elif kind == _SLM_K:
-                    aux = entry[2]
-                    wg = thread.workgroup
-                    if wg is not None:
-                        wg.slm_timing.accesses += 1
-                        wg.slm_timing.conflict_cycles += (
-                            aux - wg.slm_timing.latency)
-                    completion = now + aux
-                else:
-                    completion = self.hierarchy.access(
-                        now, [(surface, line) for line in entry[2]])
-                if writes is not None:
-                    reg_ready = thread.scoreboard._reg_ready
-                    for reg in writes:
-                        if completion > reg_ready.get(reg, 0):
-                            reg_ready[reg] = completion
-                thread.index += 1
-                thread._ready_cache = None
-                thread._packed_cache = None
-            elif kind == _CTRL:
-                thread.index += 1
-                thread._ready_cache = None
-                thread._packed_cache = None
-            elif kind == _EOT:
-                thread.state = ThreadState.DONE
-                threads[slot] = None
-                self._free += 1
-                self.threads_retired += 1
-                if thread.workgroup is not None:
-                    thread.workgroup.thread_done(now)
-            else:  # _BARRIER_K
-                self._issue_barrier(thread, packed[0], now)
-            issued += 1
-            last_issued = slot
-        if issued:
-            self._rr = (last_issued + 1) % len(threads)
-            self._event_floor = None
-        else:
-            if best < NEVER:
-                period = config.issue_period
-                rem = best % period
-                if rem:
-                    best += period - rem
-            self._event_floor = best
-
-    def _compute_event_floor(self) -> int:
-        """Packed-cache variant of the base floor walk.
-
-        Same value by construction — identical per-thread candidate
-        ``align(max(ready, stall, pipe_busy))`` — but reads the packed
-        ``(inst, deps, pipe_index, plan)`` tuple the flattened step
-        maintains instead of re-probing the per-instruction caches.
-        Falls back to the base walk when observers forced the generic
-        step (which populates ``_inst_cache``, not ``_packed_cache``).
-        """
-        if self.telemetry is not None or self.hostprof is not None \
-                or self.trace_sink is not None:
-            return super()._compute_event_floor()
-        best = NEVER
-        pipes = self.pipes.by_index
-        active = ThreadState.ACTIVE
-        for thread in self.threads:
-            if thread is None or thread.state is not active:
-                continue
-            packed = thread._packed_cache
-            if packed is None:
-                try:
-                    inst = thread._insts[thread.index]
-                except IndexError:
-                    raise RuntimeError(
-                        f"thread {thread.thread_id} ran past its functional "
-                        f"trace ({len(thread.trace)} entries) without "
-                        f"retiring"
-                    ) from None
-                info = inst.__dict__.get("_fast_info_cache")
-                if info is None:
-                    info = _fast_info(inst)
-                packed = thread._packed_cache = (
-                    inst, info[0], info[1], info[2])
-            t = thread._ready_cache
-            if t is None:
-                scoreboard = thread.scoreboard
-                reg_ready = scoreboard._reg_ready
-                flag_ready = scoreboard._flag_ready
-                t = 0
-                if reg_ready or flag_ready:
-                    deps = packed[1]
-                    if reg_ready:
-                        for reg in deps[0]:
-                            r = reg_ready.get(reg, 0)
-                            if r > t:
-                                t = r
-                    if flag_ready:
-                        for flag in deps[1]:
-                            r = flag_ready.get(flag, 0)
-                            if r > t:
-                                t = r
-                thread._ready_cache = t
-            if t < thread.stall_until:
-                t = thread.stall_until
-            pidx = packed[2]
-            if pidx >= 0:
-                busy = pipes[pidx].busy_until
-                if busy > t:
-                    t = busy
-            if t < best:
-                best = t
-        if best < NEVER:
-            period = self.config.issue_period
-            rem = best % period
-            if rem:
-                best += period - rem
-        return best
-
-    def _issue_control(self, slot: int, thread: ReplayThread,
-                       inst: Instruction, now: int) -> None:
-        _, post_mask, _ = thread.entry()
-        if inst.opcode is Opcode.EOT:
-            thread.state = ThreadState.DONE
-            self.threads[slot] = None
-            self._free += 1
-            self.threads_retired += 1
-            if self.telemetry is not None:
-                self.telemetry.thread_retired(now)
-            if thread.workgroup is not None:
-                thread.workgroup.thread_done(now)
-            return
-        if self.telemetry is not None:
-            # Post-instruction mask population: the divergence timeline.
-            self.telemetry.ctrl_issue(now, inst, post_mask, inst.width)
-        thread.advance(None)
-
-    def _issue_alu(self, thread: ReplayThread, inst: Instruction,
-                   now: int) -> None:
-        # Stats were bulk-recorded from the trace (record_trace_stats).
-        exec_mask = thread.entry()[1]
-        if self.trace_sink is not None:
-            from ..trace.format import TraceEvent
-
-            self.trace_sink.append(
-                TraceEvent(inst.width, exec_mask, inst.dtype_factor))
-
-        cycles = execution_cycles(
-            exec_mask, inst.width, self.config.policy, inst.dtype_factor,
-            min_cycles=1,
-        )
-        pipe = self.pipes.for_opcode(inst.opcode)
-        drain = pipe.issue(now, cycles)
-        completion = drain + inst.opcode.latency
-        thread.scoreboard.record(inst, completion)
-        if self.telemetry is not None:
-            self.telemetry.alu_issue(now, inst, exec_mask, cycles, pipe.name,
-                                     self.config.policy)
-        thread.advance(None)
-
-    def _issue_memory(self, thread: ReplayThread, inst: Instruction,
-                      now: int) -> None:
-        # Stats were bulk-recorded from the trace (record_trace_stats).
-        _, exec_mask, aux = thread.entry()
-        occupancy = _send_occupancy(inst)
-        self.pipes.send.issue(now, occupancy)
-        if self.telemetry is not None:
-            self.telemetry.mem_issue(now, inst, exec_mask, occupancy)
-
-        if exec_mask == 0:
-            completion = now + 1  # suppressed message
-        elif inst.opcode.is_slm:
-            wg = thread.workgroup
-            # Keep the per-workgroup SLM conflict counters live (the
-            # functional pass recorded the cycle cost).
-            if wg is not None:
-                wg.slm_timing.accesses += 1
-                wg.slm_timing.conflict_cycles += aux - wg.slm_timing.latency
-            completion = now + aux
-        else:
-            lines = [(inst.surface, line) for line in aux]
-            completion = self.hierarchy.access(now, lines)
-
-        if inst.opcode.writes_dst:
-            thread.scoreboard.mark_write(inst.writes(), completion)
-        thread.advance(None)

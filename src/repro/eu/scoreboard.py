@@ -22,13 +22,6 @@ class Scoreboard:
     def __init__(self) -> None:
         self._reg_ready: Dict[int, int] = {}
         self._flag_ready: Dict[int, int] = {}
-        #: Optional telemetry counter registry (shared with the owning
-        #: EU); None keeps every hot method a single extra branch.
-        self._counters = None
-
-    def attach_counters(self, counters) -> None:
-        """Route dependence-tracking tallies into *counters* (telemetry)."""
-        self._counters = counters
 
     def ready_at(self, inst: Instruction) -> int:
         """Earliest cycle at which *inst*'s dependencies are all met."""
@@ -68,12 +61,8 @@ class Scoreboard:
         """Set in-flight state for an issued instruction."""
         if inst.opcode.writes_dst and inst.dst is not None:
             self.mark_write(inst.writes(), completion_cycle)
-            if self._counters is not None:
-                self._counters.incr("scoreboard.reg_writes")
         if inst.opcode is Opcode.CMP and inst.flag_dst is not None:
             self.mark_flag_write(inst.flag_dst.index, completion_cycle)
-            if self._counters is not None:
-                self._counters.incr("scoreboard.flag_writes")
 
     def pending_max(self) -> int:
         """Latest outstanding ready cycle (0 when nothing is in flight)."""

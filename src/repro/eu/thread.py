@@ -55,33 +55,17 @@ class EUThread:
         self.stall_until = start_cycle
         self.instructions_executed = 0
         self.last_issue_cycle = -1
-        #: Cached scoreboard ready cycle of the *current* instruction.
-        #: Valid between issues: only this thread's own issues mutate its
-        #: scoreboard, and every issue ends in :meth:`advance`, which
-        #: invalidates the cache.  ``step``/``next_event`` probe
-        #: ``earliest_issue`` several times per thread per event cycle,
-        #: so this turns repeated dependence scans into one integer max.
+        #: The next instruction's issue info ``(inst, deps, pipe_index,
+        #: plan)`` and the cycle its scoreboard dependencies clear, both
+        #: filled by the EU's scan (``ExecutionUnit._fetch``) and cleared
+        #: by every issue.  Only this thread's own issues mutate its
+        #: scoreboard, so the pair stays valid in between.
+        self._packed_cache: Optional[tuple] = None
         self._ready_cache: Optional[int] = None
-        #: Cached current instruction (same lifetime as ``_ready_cache``:
-        #: set on first lookup while ACTIVE, cleared by :meth:`advance`;
-        #: the barrier and EOT state transitions both go through
-        #: ``advance`` first, so a non-None cache implies it matches
-        #: ``program.instructions[pc]``).  The EU's arbitration scan and
-        #: event-floor walk read it directly after checking the state.
-        self._inst_cache: Optional[Instruction] = None
 
     @property
     def done(self) -> bool:
         return self.state is ThreadState.DONE
-
-    def current_instruction(self) -> Optional[Instruction]:
-        """The next instruction to issue, or None when the thread is done."""
-        if self.state is not ThreadState.ACTIVE:
-            return None
-        inst = self._inst_cache
-        if inst is None:
-            inst = self._inst_cache = self.program.instructions[self.pc]
-        return inst
 
     def pred_mask(self, inst: Instruction) -> Optional[int]:
         """Evaluate the instruction's predicate flag (None = unpredicated)."""
@@ -95,31 +79,9 @@ class EUThread:
     def advance(self, next_pc: Optional[int]) -> None:
         """Move to *next_pc* (or fall through) after issuing an instruction."""
         self.pc = self.pc + 1 if next_pc is None else next_pc
+        self._packed_cache = None
         self._ready_cache = None
-        self._inst_cache = None
         if not 0 <= self.pc <= len(self.program.instructions):
             raise RuntimeError(
                 f"thread {self.thread_id} jumped to invalid pc {self.pc}"
             )
-
-    def ready_floor(self) -> int:
-        """Absolute earliest cycle the next instruction could issue.
-
-        Considers dispatch/barrier stalls and scoreboard dependencies,
-        but not pipe availability (the EU adds that).  Unlike
-        :meth:`earliest_issue` this is not floored at any *now*, so the
-        EU can cache it as an event-time lower bound.
-        """
-        ready = self._ready_cache
-        if ready is None:
-            inst = self.current_instruction()
-            if inst is None:
-                return 1 << 62  # effectively never; barrier release resets stall
-            ready = self._ready_cache = self.scoreboard.ready_at(inst)
-        stall = self.stall_until
-        return ready if ready >= stall else stall
-
-    def earliest_issue(self, now: int) -> int:
-        """Earliest cycle >= *now* this thread's next instruction could issue."""
-        ready = self.ready_floor()
-        return ready if ready > now else now

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.stats import CompactionStats
 from ..errors import DeadlockError, JobTimeoutError
-from ..eu.eu import NEVER, ExecutionUnit
+from ..eu.eu import NEVER, ExecutionUnit, fold_issue_counts
 from ..isa.program import Program
 from ..memory.hierarchy import MemoryHierarchy
 from ..telemetry.collector import make_collector
@@ -94,21 +94,22 @@ class GpuSimulator:
             # Two-phase core: a batched functional pass computes all
             # architectural state and records per-thread issue traces;
             # the cycle loop below replays those traces through the
-            # unchanged timing machinery (same ExecutionUnit code paths
-            # for arbitration, pipes, scoreboards, and the hierarchy).
+            # same ExecutionUnit scan the interp engine runs.
             from ..eu.batch import run_functional
-            from ..eu.replay import (ReplayExecutionUnit, ReplayLaunch,
-                                     record_trace_stats)
+            from ..eu.replay import ReplayLaunch, record_trace_stats
 
-            eu_cls, launch_cls = ReplayExecutionUnit, ReplayLaunch
+            launch_cls = ReplayLaunch
         else:
-            eu_cls, launch_cls = ExecutionUnit, Launch
+            launch_cls = Launch
+        # The interp EUs count (pc, mask) per SIMD issue here; the counts
+        # fold into the stats when the launch ends.
+        issue_counts: dict = {}
         eus = [
-            eu_cls(i, config, hierarchy, alu_stats, simd_stats,
-                   trace_sink,
-                   telemetry=(collector.eu(i) if collector is not None
-                              else None),
-                   hostprof=self.hostprof)
+            ExecutionUnit(i, config, hierarchy, alu_stats, simd_stats,
+                          trace_sink,
+                          telemetry=(collector.eu(i) if collector is not None
+                                     else None),
+                          hostprof=self.hostprof, issue_counts=issue_counts)
             for i in range(config.num_eus)
         ]
         launch = launch_cls(
@@ -141,13 +142,12 @@ class GpuSimulator:
 
         now = 0
         # Watchdog state: the last cycle at which any EU issued an
-        # instruction or retired a thread.  A scheduling deadlock keeps
-        # generating events (the dispatch nudge, pipe drains) without
-        # ever issuing, so the cycle budget alone would spin for a long
-        # time before tripping; the no-progress detector converts that
-        # into a typed error within ``watchdog_cycles``.
+        # instruction (a retire is an EOT issue).  A scheduling deadlock
+        # keeps generating events (the dispatch nudge, pipe drains)
+        # without ever issuing, so the cycle budget alone would spin for
+        # a long time before tripping; the no-progress detector converts
+        # that into a typed error within ``watchdog_cycles``.
         last_progress_cycle = 0
-        last_progress_mark = (0, 0)
         iterations = 0
         # With telemetry off, an EU whose cached event floor lies in the
         # future cannot issue and emits nothing — its step would early-out
@@ -161,22 +161,17 @@ class GpuSimulator:
             if not all_dispatched:
                 launch.dispatch(eus, now)
                 all_dispatched = launch.all_dispatched
+            progressed = False
             for eu in eus:
                 if skip_floors:
                     floor = eu._event_floor
                     if floor is not None and now < floor:
                         continue
-                eu.step(now)
+                if eu.step(now):
+                    progressed = True
             if launch.done:
                 break
-            issued_total = 0
-            retired_total = 0
-            for eu in eus:
-                issued_total += eu.instructions_issued
-                retired_total += eu.threads_retired
-            mark = (issued_total, retired_total)
-            if mark != last_progress_mark:
-                last_progress_mark = mark
+            if progressed:
                 last_progress_cycle = now
             elif (config.watchdog_cycles
                   and now - last_progress_cycle > config.watchdog_cycles):
@@ -232,6 +227,8 @@ class GpuSimulator:
                     f"kernel {program.name!r} exceeded max_cycles={config.max_cycles}"
                 )
 
+        # Empty on the fast engine, which recorded its traces up front.
+        fold_issue_counts(program, issue_counts, alu_stats, simd_stats)
         return KernelRunResult(
             kernel=program.name,
             telemetry=(collector.result(now) if collector is not None

@@ -70,6 +70,38 @@ class TestRegisterFile:
         grf.broadcast(ref, 16, 7)
         np.testing.assert_array_equal(grf.read(ref, 16), 7)
 
+    def test_scalar_value_under_partial_mask(self):
+        grf = RegisterFile()
+        ref = RegRef(3, DType.I32)
+        grf.write(ref, 16, np.arange(16, dtype=np.int32), 0xFFFF)
+        grf.write(ref, 16, -5, 0x8421)
+        expected = np.arange(16, dtype=np.int32)
+        expected[[0, 5, 10, 15]] = -5
+        np.testing.assert_array_equal(grf.read(ref, 16), expected)
+
+    def test_64bit_operand_under_partial_mask(self):
+        grf = RegisterFile()
+        ref = RegRef(6, DType.I64)
+        big = np.int64(1) << 40
+        grf.write(ref, 8, np.full(8, -1, np.int64), 0xFF)
+        grf.write(ref, 8, big + np.arange(8, dtype=np.int64), 0b10100101)
+        expected = np.full(8, -1, np.int64)
+        for lane in (0, 2, 5, 7):
+            expected[lane] = big + lane
+        np.testing.assert_array_equal(grf.read(ref, 8), expected)
+        # Both 32-bit halves of a disabled lane stay untouched.
+        assert grf.raw()[6 * 8 + 2] == 0xFFFFFFFF
+        assert grf.raw()[6 * 8 + 3] == 0xFFFFFFFF
+
+    def test_zero_mask_writes_nothing(self):
+        grf = RegisterFile()
+        ref = RegRef(9, DType.F32)
+        grf.write(ref, 16, np.full(16, 3.0, np.float32), 0xFFFF)
+        before = grf.raw().copy()
+        grf.write(ref, 16, np.full(16, 8.0, np.float32), 0)
+        grf.write(ref, 16, 8.0, 0)
+        np.testing.assert_array_equal(grf.raw(), before)
+
 
 class TestMaskStackIf:
     def test_if_splits_lanes(self):

@@ -1,0 +1,58 @@
+"""Pinned interp-engine results for the ``verify-parity`` workloads.
+
+The interp engine counts ``(pc, mask)`` per issue and folds the counts
+into its :class:`~repro.core.stats.CompactionStats` when a launch ends.
+The values in ``data/interp_stats_pins.json`` were recorded when the
+engine still recorded every issue into the stats one by one, so they pin
+that the fold is exact: every counter, and the insertion order of the
+utilization buckets (which reaches the pickled cache bytes).
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.core.policy import parse_policy
+from repro.gpu.config import GpuConfig
+from repro.kernels import WORKLOAD_REGISTRY, run_workload
+
+PINS = json.loads(
+    (Path(__file__).parent / "data" / "interp_stats_pins.json").read_text())
+
+WORKLOADS = ("nested_l2", "gnoise", "bsearch", "bsort", "dsl_collatz", "mt")
+POLICIES = ("raw", "ivb", "bcc", "scc")
+
+
+def _stats(stats):
+    return {
+        "instructions": stats.instructions,
+        "enabled_lane_slots": stats.enabled_lane_slots,
+        "issued_lane_slots": stats.issued_lane_slots,
+        "cycles": [[policy.value, count]
+                   for policy, count in stats.cycles.items()],
+        "bucket_counts": [list(item) for item in stats.bucket_counts.items()],
+        "rf_accesses_baseline": stats.rf_accesses_baseline,
+        "rf_accesses_bcc": stats.rf_accesses_bcc,
+        "scc_swizzles": stats.scc_swizzles,
+    }
+
+
+def test_pins_cover_the_grid():
+    assert sorted(PINS) == sorted(f"{name}/{policy}" for name in WORKLOADS
+                                  for policy in POLICIES)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_interp_run_matches_pin(name, policy):
+    result = run_workload(WORKLOAD_REGISTRY[name](),
+                          GpuConfig(policy=parse_policy(policy),
+                                    engine="interp"))
+    pin = PINS[f"{name}/{policy}"]
+    assert result.total_cycles == pin["total_cycles"]
+    assert result.instructions == pin["instructions"]
+    assert result.buffers_digest == pin["buffers_digest"]
+    # Lists, so bucket order is compared too.
+    assert _stats(result.alu_stats) == pin["alu_stats"]
+    assert _stats(result.simd_stats) == pin["simd_stats"]
