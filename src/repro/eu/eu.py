@@ -79,9 +79,10 @@ _CTRL, _EOT, _BARRIER, _ALU, _SLM, _GLOBAL = range(6)
 def _issue_info(inst: Instruction) -> tuple:
     """``(inst, deps, pipe_index, plan)`` of an instruction, cached on it.
 
-    * ``deps``: the ``(registers, flags)`` :meth:`Scoreboard.ready_at`
-      probes — reads + writes (RAW/WAW), the predicate flag and the flag
-      destination — so the scan can take the readiness max directly.
+    * ``deps``: the ``(registers, flags)`` the thread's
+      :class:`~repro.eu.scoreboard.Scoreboard` is probed for — reads +
+      writes (RAW/WAW), the predicate flag and the flag destination — so
+      the scan can take the readiness max directly.
     * ``pipe_index``: index into :attr:`PipeSet.by_index`, -1 for CTRL.
     * ``plan``: ``(kind, data)``, the issue path and the static operands
       it needs.

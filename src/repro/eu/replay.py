@@ -48,7 +48,9 @@ class ReplayThread(EUThread):
     """An EU thread that walks a recorded issue trace instead of a pc.
 
     ``index`` is the position of the next record in ``trace``; the EU's
-    scan reads the record and advances it when the thread issues.
+    scan reads the record and advances it when the thread issues.  The
+    functional pass already evolved the architectural state, so the
+    thread carries no registers, flags or mask stack.
     """
 
     def __init__(self, thread_id: int, program, dispatch_mask: int,
@@ -57,6 +59,9 @@ class ReplayThread(EUThread):
                          workgroup=workgroup, start_cycle=start_cycle)
         self.trace = trace
         self.index = 0
+
+    def _init_arch_state(self, dispatch_mask: int) -> None:
+        pass
 
 
 class ReplayLaunch(Launch):

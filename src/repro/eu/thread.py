@@ -45,9 +45,7 @@ class EUThread:
         self.thread_id = thread_id
         self.program = program
         self.pc = 0
-        self.grf = RegisterFile()
-        self.flags = [0, 0]
-        self.masks = MaskStack(program.simd_width, dispatch_mask)
+        self._init_arch_state(dispatch_mask)
         self.scoreboard = Scoreboard()
         self.state = ThreadState.ACTIVE
         self.workgroup = workgroup
@@ -62,6 +60,13 @@ class EUThread:
         #: scoreboard, so the pair stays valid in between.
         self._packed_cache: Optional[tuple] = None
         self._ready_cache: Optional[int] = None
+
+    def _init_arch_state(self, dispatch_mask: int) -> None:
+        """The registers, flags and mask stack the interp engine executes
+        on (a replayed thread reads its records instead and has none)."""
+        self.grf = RegisterFile()
+        self.flags = [0, 0]
+        self.masks = MaskStack(self.program.simd_width, dispatch_mask)
 
     @property
     def done(self) -> bool:

@@ -42,6 +42,7 @@ import enum
 import hashlib
 import itertools
 import json
+import logging
 import os
 import pickle
 import re
@@ -63,6 +64,9 @@ from .errors import (
 )
 from .gpu.config import GpuConfig
 from .gpu.results import KernelRunResult
+from .journal import JsonlJournal
+
+logger = logging.getLogger("repro.runner")
 
 #: Bump when the cached payload layout changes incompatibly.
 CACHE_SCHEMA = 1
@@ -1028,76 +1032,35 @@ class Runner:
 # Sweep checkpointing
 
 
-class CheckpointJournal:
+class CheckpointJournal(JsonlJournal):
     """Append-only journal of completed sweep jobs, for ``--resume``.
 
-    The journal is a JSONL file: a header line binding it to one sweep
-    grid (via :func:`stable_digest` of the grid spec), then one record
-    per completed job keyed by :attr:`Job.key`.  Appends are flushed and
-    fsynced, so a crash or Ctrl-C loses at most the record being
-    written; :meth:`load` tolerates a truncated trailing line for
-    exactly that reason.  A journal whose header does not match the
-    current grid (the sweep definition changed) is ignored wholesale
-    rather than resumed into a mixed artifact.
+    A binding of :class:`~repro.journal.JsonlJournal`: a header line
+    binding the file to one sweep grid (via :func:`stable_digest` of the
+    grid spec), then one fsynced record per completed job keyed by
+    :attr:`Job.key`.  A crash or Ctrl-C loses at most the record being
+    written; undecodable lines are quarantined and skipped.  A journal
+    whose header does not match the current grid (the sweep definition
+    changed) is ignored wholesale rather than resumed into a mixed
+    artifact.
     """
 
     SCHEMA = 1
 
     def __init__(self, path: os.PathLike, grid_key: str) -> None:
-        self.path = Path(path)
-        self.grid_key = grid_key
+        super().__init__(path, {"schema": self.SCHEMA, "grid": grid_key},
+                         required=("key",), logger=logger)
 
     def load(self) -> Optional[Dict[str, Any]]:
-        """Return ``{job_key: record}`` for a compatible journal.
-
-        ``None`` means "nothing to resume": the file is missing, its
-        header is unreadable, or it describes a different grid.
-        Undecodable lines after a valid header (torn writes) are
-        skipped, salvaging every record before them.
-        """
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return None
-        if not lines:
-            return None
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            return None
-        if (not isinstance(header, dict)
-                or header.get("schema") != self.SCHEMA
-                or header.get("grid") != self.grid_key):
-            return None
-        records: Dict[str, Any] = {}
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing write: keep what we have
-            if isinstance(entry, dict) and "key" in entry:
-                records[entry["key"]] = entry
-        return records
+        """``{job_key: record}``, or ``None`` when there is nothing to
+        resume (missing file, unreadable header, or another grid)."""
+        records = self.records()
+        return (None if records is None
+                else {entry["key"]: entry for entry in records})
 
     def append(self, key: str, record: Dict[str, Any]) -> None:
         """Durably journal one completed job."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists()
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if fresh:
-                fh.write(json.dumps({"schema": self.SCHEMA,
-                                     "grid": self.grid_key}) + "\n")
-            fh.write(json.dumps({"key": key, **record},
-                                sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def discard(self) -> None:
-        """Delete the journal (sweep completed; artifact published)."""
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
+        self.write({"key": key, **record})
 
 
 # ---------------------------------------------------------------------------

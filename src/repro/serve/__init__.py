@@ -19,7 +19,8 @@ Layers (each importable on its own):
 * :mod:`repro.serve.jobs` — JobSpec/JobRecord/result payloads;
 * :mod:`repro.serve.journal` — durable JSONL job journal;
 * :mod:`repro.serve.leases` — lease table + fence tokens;
-* :mod:`repro.serve.service` — queue, dedup, dispatch, leases, metrics;
+* :mod:`repro.serve.service` — queue, dedup, leases (the local executor
+  included), metrics;
 * :mod:`repro.serve.http` — the HTTP surface + graceful shutdown;
 * :mod:`repro.serve.client` — synchronous client (``repro client``);
 * :mod:`repro.serve.worker` — the fleet worker (``repro worker``).

@@ -1,121 +1,41 @@
 """Durable JSONL job journal for the ``repro serve`` daemon.
 
-Same idiom as :class:`repro.runner.CheckpointJournal` (one header line
-binding the file to a schema, then one fsynced record per event,
-tolerating a torn trailing line), but for the service's job lifecycle
-instead of a sweep grid: ``submit`` / ``resolve`` / ``cancel`` events —
-plus the fleet's lease transitions (``lease`` / ``renew`` / ``expire``
-/ ``reassign`` / ``fence_reject``) and fleet-cache ``publish`` events
-(who stored which content key, with what digest, via which path — so
-cache state is explainable post-mortem) — keyed by job id.  A restarted
-daemon replays the journal to recover its job table *and* its in-flight
-lease state: resolved jobs keep serving their results, jobs that were
-submitted but never resolved re-enter the queue, and leased jobs keep
-their worker/fence/deadline so a live remote worker can finish a job
-across a daemon restart.
-
-Crash tolerance: a daemon killed mid-append leaves a truncated (or, on
-some filesystems, garbled) trailing line.  :meth:`ServeJournal.load`
-never raises for that — the bad bytes are *quarantined* to a sidecar
-file (``<journal>.quarantine``) for post-mortem, a warning is logged,
-and every decodable record before and after is salvaged.
+A binding of :class:`repro.journal.JsonlJournal` (torn lines are
+quarantined to ``<journal>.quarantine``) to the job lifecycle:
+``submit`` / ``resolve`` / ``cancel`` events, the lease transitions
+(``lease`` / ``renew`` / ``expire`` / ``reassign`` / ``fence_reject``)
+and fleet-cache ``publish`` events (who stored which content key, with
+what digest, via which path), keyed by job id.  A restarted daemon
+replays it to recover its job table and its remote workers' in-flight
+leases.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
-from pathlib import Path
 from typing import Any, Dict, List
+
+from ..journal import JsonlJournal
 
 logger = logging.getLogger("repro.serve.journal")
 
 
-class ServeJournal:
+class ServeJournal(JsonlJournal):
     """Append-only event log of the daemon's job table."""
 
     SCHEMA = 1
     SERVICE = "repro-serve"
 
     def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
-        #: Undecodable lines skipped (and quarantined) by the last load.
-        self.quarantined = 0
-
-    @property
-    def quarantine_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".quarantine")
+        super().__init__(path, {"schema": self.SCHEMA,
+                                "service": self.SERVICE},
+                         required=("event", "id"), logger=logger)
 
     def load(self) -> List[Dict[str, Any]]:
-        """Ordered journal events; ``[]`` for missing/foreign files.
-
-        Undecodable lines — a torn write from a crash mid-append, or a
-        corrupted stretch of the file — are logged, quarantined to
-        ``<journal>.quarantine``, and skipped, salvaging every intact
-        event before and after them.  Never raises for bad content.
-        """
-        self.quarantined = 0
-        try:
-            raw_lines = self.path.read_bytes().splitlines()
-        except OSError:
-            return []
-        if not raw_lines:
-            return []
-        try:
-            header = json.loads(raw_lines[0].decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(1, raw_lines[0])
-            return []
-        if (not isinstance(header, dict)
-                or header.get("schema") != self.SCHEMA
-                or header.get("service") != self.SERVICE):
-            return []
-        events: List[Dict[str, Any]] = []
-        for number, raw in enumerate(raw_lines[1:], start=2):
-            if not raw.strip():
-                continue
-            try:
-                entry = json.loads(raw.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                # Torn/corrupt write: keep everything else.
-                self._quarantine(number, raw)
-                continue
-            if isinstance(entry, dict) and "event" in entry and "id" in entry:
-                events.append(entry)
-        return events
-
-    def _quarantine(self, line_number: int, raw: bytes) -> None:
-        """Preserve one undecodable line for post-mortem and move on."""
-        self.quarantined += 1
-        logger.warning(
-            "journal %s line %d is not decodable (%d bytes; crash "
-            "mid-append?); quarantining to %s and skipping",
-            self.path, line_number, len(raw), self.quarantine_path)
-        try:
-            with open(self.quarantine_path, "ab") as fh:
-                fh.write(f"# {self.path} line {line_number}\n"
-                         .encode("utf-8"))
-                fh.write(raw + b"\n")
-        except OSError:  # pragma: no cover - quarantine is best-effort
-            pass
+        """Ordered journal events; ``[]`` for missing/foreign files."""
+        return self.records() or []
 
     def append(self, event: str, job_id: str, **data: Any) -> None:
         """Durably journal one job event."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists()
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if fresh:
-                fh.write(json.dumps({"schema": self.SCHEMA,
-                                     "service": self.SERVICE}) + "\n")
-            fh.write(json.dumps({"event": event, "id": job_id, **data},
-                                sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def discard(self) -> None:
-        """Delete the journal (tests and explicit resets only)."""
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
+        self.write({"event": event, "id": job_id, **data})

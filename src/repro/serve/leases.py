@@ -24,7 +24,7 @@ transition and tests can step time deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import FenceRejectedError
@@ -41,16 +41,14 @@ class Lease:
     #: Fence token: globally unique, strictly increasing across grants.
     fence: int
     granted_at: float  # wall-clock epoch seconds (journal-replayable)
-    deadline: float  # epoch seconds; miss it and the job is reassigned
+    #: Epoch seconds; miss it and the job is reassigned.  ``None`` for a
+    #: lease that lasts as long as its holder's process (the daemon's
+    #: own executor).
+    deadline: Optional[float]
     renewals: int = 0
 
     def expired(self, now: float) -> bool:
-        return now > self.deadline
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"job_id": self.job_id, "worker": self.worker,
-                "fence": self.fence, "granted_at": self.granted_at,
-                "deadline": self.deadline, "renewals": self.renewals}
+        return self.deadline is not None and now > self.deadline
 
 
 @dataclass
@@ -91,16 +89,8 @@ class LeaseTable:
     def __len__(self) -> int:
         return len(self._leases)
 
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._leases
-
     def get(self, job_id: str) -> Optional[Lease]:
         return self._leases.get(job_id)
-
-    @property
-    def fence(self) -> int:
-        """The highest fence token ever issued."""
-        return self._fence
 
     def active(self) -> List[Lease]:
         return list(self._leases.values())
@@ -112,14 +102,18 @@ class LeaseTable:
 
     # -- transitions -------------------------------------------------------
 
-    def grant(self, job_id: str, worker: str, ttl: float,
+    def grant(self, job_id: str, worker: str, ttl: Optional[float],
               now: float) -> Lease:
-        """Issue a fresh lease (and the next fence token) for *job_id*."""
+        """Issue a fresh lease (and the next fence token) for *job_id*.
+
+        A ``None`` *ttl* grants a lease without a deadline.
+        """
         if job_id in self._leases:
             raise ValueError(f"job {job_id} is already leased")
         self._fence += 1
         lease = Lease(job_id=job_id, worker=worker, fence=self._fence,
-                      granted_at=now, deadline=now + ttl)
+                      granted_at=now,
+                      deadline=None if ttl is None else now + ttl)
         self._leases[job_id] = lease
         info = self.touch(worker, now)
         info.leases_granted += 1

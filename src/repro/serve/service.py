@@ -1,12 +1,17 @@
 """The ``repro serve`` job service: queue, dedup, journal, metrics.
 
 This is the daemon's engine room, deliberately independent of HTTP so
-it can be driven directly by tests (and embedded elsewhere).  One
-asyncio *dispatcher* task pulls queued jobs in batches and feeds them to
-the existing :class:`repro.runner.Runner` — inheriting its process-pool
-fan-out, content-keyed result cache, typed failures, bounded retries and
-per-job watchdog wholesale — while the service layer adds what a
-long-lived daemon needs on top:
+it can be driven directly by tests (and embedded elsewhere).  Every job
+is leased by :meth:`JobService._grant_jobs` and resolved by the fenced
+:meth:`JobService.complete_remote` / :meth:`JobService.fail_remote`,
+whoever runs it.  The daemon's own executor is the lease holder
+:data:`LOCAL_WORKER`: it claims up to ``batch_max`` jobs at a time and
+feeds them to the existing :class:`repro.runner.Runner` — inheriting
+its process-pool fan-out, content-keyed result cache, typed failures,
+bounded retries and per-job watchdog wholesale.  Its leases have no
+deadline (they last as long as the daemon; a restarted daemon requeues
+its predecessor's).  The service layer adds what a long-lived daemon
+needs on top:
 
 * **in-flight dedup** — a submission whose content key matches a
   queued/running job becomes a *subscriber* of that job: one execution,
@@ -23,7 +28,7 @@ long-lived daemon needs on top:
   queued jobs under time-bounded, fence-tokened leases
   (:class:`~repro.serve.leases.LeaseTable`); a worker that misses its
   heartbeat deadline (crash, partition, ``kill -9``) has its jobs
-  reassigned — to another worker or the local dispatcher — with stale
+  reassigned — to another worker or the local executor — with stale
   fenced posts rejected, a bounded assignment count before the job is
   failed as :class:`~repro.errors.WorkerCrashError`, and every lease
   transition journaled so a restarted daemon rebuilds in-flight lease
@@ -69,6 +74,7 @@ from ..errors import (
     describe,
     exit_code_for,
 )
+from ..gpu.results import KernelRunResult
 from ..runner import JobEvent, Runner, code_salt
 from ..telemetry.counters import CounterRegistry
 from .jobs import (
@@ -83,6 +89,10 @@ from .journal import ServeJournal
 from .leases import Lease, LeaseTable
 
 _id_counter = itertools.count(1)
+
+#: Worker name of the daemon's own executor (reserved: remote workers
+#: may not lease under it).
+LOCAL_WORKER = "local"
 
 
 class NotCancellableError(ServiceError):
@@ -128,7 +138,7 @@ class JobService:
     """Long-lived job queue on top of the shared :class:`Runner`.
 
     Single-threaded discipline: every public method runs on the event
-    loop thread (the HTTP layer and the dispatcher both live there);
+    loop thread (the HTTP layer and the local executor both live there);
     only the runner batch itself runs in a worker thread, reporting
     back via ``loop.call_soon_threadsafe``.
     """
@@ -176,7 +186,7 @@ class JobService:
         self.lease_ttl = lease_ttl
         self.max_assignments = max_assignments
         #: When False the daemon is a pure fleet coordinator: the local
-        #: dispatcher never picks jobs up, only remote workers do.
+        #: executor never leases jobs, only remote workers do.
         self.local_exec = local_exec
         self.sweep_interval = (sweep_interval if sweep_interval is not None
                                else min(1.0, max(0.05, lease_ttl / 4.0)))
@@ -202,7 +212,6 @@ class JobService:
         self._queue: deque = deque()  # primary job ids awaiting dispatch
         self._inflight: Dict[str, str] = {}  # content key -> primary id
         self._subs: Dict[str, List[str]] = {}  # primary id -> subscriber ids
-        self._busy = 0  # primaries in the currently-running batch
         self._draining = False
         self._wake: Optional[asyncio.Event] = None
         self._work: Optional[asyncio.Event] = None  # lease long-poll wakeup
@@ -214,7 +223,7 @@ class JobService:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn the dispatcher and lease-sweeper tasks (idempotent)."""
+        """Spawn the local-executor and lease-sweeper tasks (idempotent)."""
         if self._task is not None:
             return
         self._wake = asyncio.Event()
@@ -223,7 +232,7 @@ class JobService:
         if self._queue:
             self._wake.set()
             self._work.set()
-        self._task = asyncio.create_task(self._dispatch_loop())
+        self._task = asyncio.create_task(self._local_loop())
         self._sweeper = asyncio.create_task(self._sweep_loop())
 
     async def drain(self) -> None:
@@ -233,8 +242,9 @@ class JobService:
         to remote workers stay journaled as leased; the next daemon
         pointed at the same data dir re-enqueues the former and restores
         the latter's lease state (the restart recovery the CI smoke
-        jobs assert).  Remote workers long-polling for work are released
-        with an empty, ``draining`` response.
+        jobs assert).  The local executor's batch finishes first.
+        Remote workers long-polling for work are released with an
+        empty, ``draining`` response.
         """
         self._draining = True
         if self._wake is not None:
@@ -267,10 +277,13 @@ class JobService:
         back *still leased* — same worker, same fence token, same
         deadline — so a live worker finishes its job across a daemon
         restart, and a dead worker's lease expires on the first sweep.
-        The fence counter resumes past the highest journaled token, so
+        A :data:`LOCAL_WORKER` lease died with the previous daemon: its
+        job is requeued at once, under the assignment bound.  The fence
+        counter resumes past the highest journaled token, so
         post-restart grants stay strictly monotonic.
         """
         live_leases: Dict[str, Lease] = {}
+        orphans: List[JobRecord] = []  # held by the previous ``local``
         for entry in self.journal.load():
             kind = entry["event"]
             if kind == "submit":
@@ -355,20 +368,29 @@ class JobService:
             self._inflight[record.key] = record.id
             lease = live_leases.get(record.id)
             if lease is not None:
-                # Still owned by its worker; expiry sweep handles the
-                # rest if that worker is gone.
-                self.leases.restore(lease)
                 record.state = JobState.RUNNING
                 record.started_at = lease.granted_at
                 record.worker = lease.worker
                 record.fence = lease.fence
-                self.counters.incr("serve.leases.restored")
+                if lease.worker == LOCAL_WORKER:
+                    orphans.append(record)
+                else:
+                    # Still owned by its worker; expiry sweep handles
+                    # the rest if that worker is gone.
+                    self.leases.restore(lease)
+                    self.counters.incr("serve.leases.restored")
             else:
                 record.state = JobState.QUEUED
                 record.started_at = None
                 record.worker = None
                 record.fence = None
                 self._queue.append(record.id)
+        # After the loop, so every subscriber is attached; reversed, so
+        # the queue head keeps submission order.
+        for record in reversed(orphans):
+            self._requeue(record,
+                          reason=f"the daemon died while its local "
+                                 f"executor held fence {record.fence}")
 
     # -- submission / cancellation / queries -------------------------------
 
@@ -499,6 +521,9 @@ class JobService:
         """
         if not isinstance(worker, str) or not worker:
             raise ValueError("lease request needs a 'worker' name")
+        if worker == LOCAL_WORKER:
+            raise ValueError(f"worker name {LOCAL_WORKER!r} is reserved "
+                             f"for the daemon's own executor")
         max_jobs = max(1, int(max_jobs))
         wait = min(max(0.0, float(wait)), 60.0)
         loop = asyncio.get_running_loop()
@@ -526,16 +551,21 @@ class JobService:
 
     def _grant_jobs(self, worker: str,
                     max_jobs: int) -> List[Dict[str, Any]]:
-        """Pop queued primaries and lease them to *worker* (loop thread)."""
+        """Pop queued primaries and lease them to *worker* (loop thread).
+
+        :data:`LOCAL_WORKER` leases have no deadline: that holder lives
+        and dies with the daemon.
+        """
         grants: List[Dict[str, Any]] = []
         now = self._now()
+        ttl = None if worker == LOCAL_WORKER else self.lease_ttl
         while self._queue and len(grants) < max_jobs:
             job_id = self._queue.popleft()
             record = self.jobs[job_id]
             if record.state != JobState.QUEUED:
                 continue
             record.assignments += 1
-            lease = self.leases.grant(job_id, worker, self.lease_ttl, now)
+            lease = self.leases.grant(job_id, worker, ttl, now)
             record.state = JobState.RUNNING
             record.started_at = now
             record.worker = worker
@@ -648,7 +678,8 @@ class JobService:
         fleet cache instead of simulating: the resolution is booked
         under ``serve.jobs.cache_hits`` (the record's ``cache_hit``
         flag rides the journal), leaving ``serve.jobs.executed`` an
-        honest count of actual simulations.
+        honest count of actual simulations.  The local executor passes
+        its :class:`~repro.gpu.results.KernelRunResult` as *result*.
         """
         record = self.jobs.get(job_id)
         if (record is not None and record.state in JobState.TERMINAL
@@ -657,19 +688,22 @@ class JobService:
             self.counters.incr("serve.work.duplicate_results")
             return record
         record = self._fenced_record(job_id, worker, fence, "complete")
+        reconstructed = None
+        if isinstance(result, KernelRunResult):
+            reconstructed, result = result, result_payload(record.spec,
+                                                           result)
         if not isinstance(result, dict):
             raise ValueError(f"result for job {job_id} must be the typed "
                              f"JSON result payload")
         exec_seconds = max(0.0, float(exec_seconds or 0.0))
-        reconstructed = None
         if cache is not None:
             reconstructed = self._ingest_result_blob(record, cache, result,
                                                      worker)
         trace_path = None
         if (reconstructed is not None and record.spec.telemetry == "trace"
                 and reconstructed.telemetry is not None):
-            # The blob hands us what remote execution previously lost:
-            # the full result object, trace included.
+            # The blob (or the local executor) hands us the full result
+            # object, trace included.
             trace_path = self._export_trace(record, reconstructed)
         self.leases.release(job_id)
         now = self._now()
@@ -677,7 +711,6 @@ class JobService:
         info.completed += 1
         record.resolved_fence = fence
         record.worker = worker
-        self.counters.incr("serve.jobs.remote_completed")
         self._resolve_group(record, "cached" if cached else "executed",
                             payload=result, exec_seconds=exec_seconds,
                             trace_path=trace_path)
@@ -794,7 +827,8 @@ class JobService:
 
     def fail_remote(self, job_id: str, worker: str, fence: Any,
                     error: str, exit_code: Optional[int] = None,
-                    transient: bool = False) -> JobRecord:
+                    transient: bool = False,
+                    exec_seconds: float = 0.0) -> JobRecord:
         """Accept a remote worker's typed failure; fence-checked.
 
         Transient failures (worker crash taxonomy) requeue the job —
@@ -815,7 +849,6 @@ class JobService:
         info = self.leases.touch(worker, now)
         info.failed += 1
         error = str(error or "remote worker failure")
-        self.counters.incr("serve.jobs.remote_failed")
         if transient:
             # _requeue enforces the assignment bound: at the cap this
             # resolves the job as a WorkerCrashError, same as expiry.
@@ -828,7 +861,7 @@ class JobService:
         self._resolve_group(
             record, "failed", error_text=error,
             error_code=exit_code if isinstance(exit_code, int)
-            else ServiceError.exit_code)
+            else ServiceError.exit_code, exec_seconds=exec_seconds)
         return record
 
     # -- lease expiry / reassignment ---------------------------------------
@@ -854,6 +887,8 @@ class JobService:
                           reason=f"lease fence {lease.fence} held by "
                                  f"worker {lease.worker!r} expired "
                                  f"(missed heartbeat deadline)")
+        if self.local_exec:  # alive as long as the daemon: never retired
+            self.leases.touch(LOCAL_WORKER, now)
         retired = self.leases.retire_idle(now, self.worker_retire_horizon)
         if retired:
             self.counters.incr("serve.workers.retired", len(retired))
@@ -903,86 +938,74 @@ class JobService:
         its job has not been reassigned yet."""
         return "degraded" if self.leases.expired(self._now()) else "ok"
 
-    # -- dispatch ----------------------------------------------------------
+    # -- the local executor ------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
+    async def _local_loop(self) -> None:
+        """The daemon's own lease holder, worker :data:`LOCAL_WORKER`.
+
+        Claims up to ``batch_max`` queued jobs through the same
+        :meth:`_grant_jobs` remote workers use, runs them, and resolves
+        each through the fenced :meth:`complete_remote` /
+        :meth:`fail_remote`.
+        """
         try:
             while True:
                 await self._wake.wait()
                 self._wake.clear()
-                while (self.local_exec and self._queue
-                       and not self._draining):
-                    batch = [self._queue.popleft()
-                             for _ in range(min(len(self._queue),
-                                                self.batch_max))]
-                    await self._run_batch(batch)
+                while self.local_exec and not self._draining:
+                    grants = self._grant_jobs(LOCAL_WORKER, self.batch_max)
+                    if not grants:
+                        break
+                    await self._run_local(grants)
                 if self._draining:
                     return
         finally:
             self._done.set()
 
-    async def _run_batch(self, batch_ids: List[str]) -> None:
-        """Feed one batch of primaries through the runner."""
-        now = time.time()
-        records = [self.jobs[i] for i in batch_ids
-                   if self.jobs[i].state == JobState.QUEUED]
-        if not records:
-            return
-        jobs = []
-        key_to_id: Dict[str, str] = {}
-        for record in records:
-            record.state = JobState.RUNNING
-            record.started_at = now
-            record.assignments += 1  # local pickup counts like a lease
-            for sid in self._subs.get(record.id, []):
-                subscriber = self.jobs[sid]
-                if subscriber.state == JobState.QUEUED:
-                    subscriber.state = JobState.RUNNING
-                    subscriber.started_at = now
-            job = record.spec.to_job()
-            jobs.append(job)
-            key_to_id[job.key] = record.id
-        self._busy = len(records)
+    async def _run_local(self, grants: List[Dict[str, Any]]) -> None:
+        """Feed one batch of local grants through the runner."""
+        jobs = [self.jobs[grant["id"]].spec.to_job() for grant in grants]
         self.counters.incr("serve.batches")
         loop = asyncio.get_running_loop()
 
         def progress(event: JobEvent) -> None:
             # Called from the runner's worker thread: hop back onto the
             # loop so all record/journal mutation stays single-threaded.
-            loop.call_soon_threadsafe(self._resolve_event, key_to_id, event)
+            loop.call_soon_threadsafe(self._resolve_local, event)
 
         self.runner.progress = progress
         try:
             await asyncio.to_thread(self.runner.run, jobs, strict=False)
         except Exception as exc:  # runner itself died, not one job
-            for record in records:
-                if record.state == JobState.RUNNING:
-                    self._resolve_group(record, "failed", error=exc)
+            for job in jobs:  # a no-op for every job already resolved
+                self._resolve_local(JobEvent(job, "failed", 0.0, 0, 0,
+                                             error=exc))
         finally:
             self.runner.progress = None
-            self._busy = 0
             stats = self.runner.last_stats
             for name in ("retried", "degraded", "timeouts"):
                 value = getattr(stats, name)
                 if value:
                     self.counters.incr(f"serve.runner.{name}", value)
 
-    def _resolve_event(self, key_to_id: Dict[str, str],
-                       event: JobEvent) -> None:
-        """One runner job finished (loop thread; via call_soon_threadsafe)."""
-        record_id = key_to_id.get(event.job.key)
-        record = self.jobs.get(record_id) if record_id else None
-        if record is None or record.state in JobState.TERMINAL:
+    def _resolve_local(self, event: JobEvent) -> None:
+        """Resolve a runner outcome under its job's local lease, if any."""
+        job_id = self._inflight.get(event.job.key)
+        lease = self.leases.get(job_id) if job_id is not None else None
+        if lease is None or lease.worker != LOCAL_WORKER:
             return
         if event.status == "failed":
-            self._resolve_group(record, "failed", error=event.error,
-                                exec_seconds=event.elapsed)
+            self.fail_remote(job_id, LOCAL_WORKER, lease.fence,
+                             describe(event.error),
+                             exit_code_for(event.error),
+                             exec_seconds=event.elapsed)
         else:
-            self._resolve_group(record, event.status, result=event.result,
-                                exec_seconds=event.elapsed)
+            self.complete_remote(job_id, LOCAL_WORKER, lease.fence,
+                                 event.result, exec_seconds=event.elapsed,
+                                 cached=event.status == "cached")
 
     def _resolve_group(self, record: JobRecord, status: str,
-                       result=None, payload: Optional[Dict[str, Any]] = None,
+                       payload: Optional[Dict[str, Any]] = None,
                        error: Optional[BaseException] = None,
                        error_text: Optional[str] = None,
                        error_code: Optional[int] = None,
@@ -990,10 +1013,8 @@ class JobService:
                        trace_path: Optional[str] = None) -> None:
         """Resolve a primary and every live subscriber with one outcome.
 
-        The outcome is either a local :class:`KernelRunResult`
-        (*result*, from the runner path), a prebuilt typed JSON
-        *payload* (from a remote worker's result post), a local
-        exception (*error*), or a remote worker's reported failure
+        The outcome is either a typed JSON *payload* (from a result
+        post), an exception (*error*), or a worker's reported failure
         (*error_text* + *error_code*).
         """
         now = time.time()
@@ -1006,10 +1027,6 @@ class JobService:
             error_text = describe(error)
             error_code = exit_code_for(error)
         failed = error_text is not None
-        if not failed and payload is None and result is not None:
-            payload = result_payload(record.spec, result)
-            if record.spec.telemetry == "trace" and result.telemetry is not None:
-                trace_path = self._export_trace(record, result)
         cache_hit = status == "cached"
         if failed:
             self.counters.incr("serve.jobs.failed")
@@ -1069,6 +1086,9 @@ class JobService:
         states: Dict[str, int] = {}
         for record in self.jobs.values():
             states[record.state] = states.get(record.state, 0) + 1
+        busy = min(self.runner.workers,
+                   sum(1 for lease in self.leases.active()
+                       if lease.worker == LOCAL_WORKER))
         now = self._now()
         active = self.leases.active_workers(now, self.worker_horizon)
         counters = self.counters.as_dict()
@@ -1101,9 +1121,8 @@ class JobService:
             "queue_depth": len(self._queue),
             "queue_limit": self.queue_limit,
             "workers": self.runner.workers,
-            "workers_busy": min(self._busy, self.runner.workers),
-            "worker_occupancy": (min(self._busy, self.runner.workers)
-                                 / self.runner.workers),
+            "workers_busy": busy,
+            "worker_occupancy": busy / self.runner.workers,
             "draining": self._draining,
             "uptime_seconds": time.time() - self.started_at,
             "jobs_by_state": dict(sorted(states.items())),

@@ -26,6 +26,25 @@ class TestCheckpointJournal:
         loaded = CheckpointJournal(path, "gridA").load()
         assert set(loaded) == {"k1"}
 
+    def test_non_utf8_middle_line_quarantined(self, tmp_path):
+        """A garbled (non-UTF-8) record between intact ones costs only
+        that record: the rest load and the bad bytes go to the
+        quarantine sidecar instead of raising UnicodeDecodeError."""
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(path, "gridA")
+        for n in range(3):
+            journal.append(f"k{n}", {"record": n})
+        lines = path.read_bytes().splitlines()
+        lines[2] = b"\xff\xfe garbled"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        reader = CheckpointJournal(path, "gridA")
+        loaded = reader.load()
+        assert set(loaded) == {"k0", "k2"}
+        assert loaded["k2"]["record"] == 2
+        assert reader.quarantined == 1
+        sidecar = reader.quarantine_path.read_bytes()
+        assert b"line 3" in sidecar and b"\xff\xfe garbled" in sidecar
+
     def test_grid_mismatch_ignored_wholesale(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "j.jsonl", "gridA")
         journal.append("k1", {"record": 1})

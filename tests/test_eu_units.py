@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.policy import CompactionPolicy, execution_cycles
+from repro.core.stats import CompactionStats
+from repro.eu.eu import ExecutionUnit, _issue_info
 from repro.eu.grf import RegisterFile
 from repro.eu.maskstack import MaskStack
-from repro.eu.pipes import ExecPipe, PipeSet
-from repro.eu.scoreboard import Scoreboard
+from repro.eu.pipes import PipeSet
+from repro.eu.thread import EUThread
+from repro.gpu import GpuConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
+from repro.isa.program import Program
 from repro.isa.registers import FlagRef, RegRef
 from repro.isa.types import DType
+from repro.memory.hierarchy import MemoryHierarchy, MemoryParams
 
 masks16 = st.integers(min_value=0, max_value=0xFFFF)
 
@@ -253,72 +259,134 @@ class TestMaskStackLoop:
         assert ms.current == entry
 
 
+def _program(*insts):
+    return Program("units", 16, instructions=[
+        *insts, Instruction(opcode=Opcode.EOT, width=16)])
+
+
+def _eu_with(*programs, dispatch_mask=0xFFFF, **config):
+    """One interp EU running one thread per program."""
+    eu = ExecutionUnit(0, GpuConfig(num_eus=1, **config),
+                       MemoryHierarchy(MemoryParams()),
+                       CompactionStats(), CompactionStats())
+    threads = [EUThread(i, program, dispatch_mask)
+               for i, program in enumerate(programs)]
+    for thread in threads:
+        eu.add_thread(thread)
+    return eu, threads
+
+
+def _add(dst=4):
+    return Instruction(opcode=Opcode.ADD, width=16, dst=RegRef(dst),
+                       sources=(RegRef(0), RegRef(2)))
+
+
+def _full_add_cycles(eu):
+    """Pipe occupancy of one full-mask SIMD16 F32 ADD under *eu*'s policy."""
+    return execution_cycles(0xFFFF, 16, eu.config.policy, 1, 1)
+
+
 class TestScoreboard:
-    def _inst(self):
-        return Instruction(opcode=Opcode.ADD, width=16, dst=RegRef(4),
-                           sources=(RegRef(0), RegRef(2)))
+    """The dependence rules the scan applies: ``_issue_info`` names an
+    instruction's registers and flags, ``ExecutionUnit._fetch`` takes
+    its ready cycle over them, and an issue sets its destinations'."""
+
+    @staticmethod
+    def _ready(inst, regs=(), flags=()):
+        eu, (thread,) = _eu_with(_program(inst))
+        thread.scoreboard._reg_ready.update(regs)
+        thread.scoreboard._flag_ready.update(flags)
+        eu._fetch(thread)
+        return thread._ready_cache
 
     def test_ready_when_empty(self):
-        assert Scoreboard().is_ready(self._inst(), 0)
+        assert self._ready(_add()) == 0
 
     def test_raw_dependency(self):
-        sb = Scoreboard()
-        sb.mark_write([0], 10)
-        inst = self._inst()
-        assert not sb.is_ready(inst, 5)
-        assert sb.is_ready(inst, 10)
+        assert self._ready(_add(), regs={0: 10}) == 10
+        eu, (thread,) = _eu_with(_program(_add()))
+        thread.scoreboard._reg_ready[0] = 10
+        assert eu.step(4) == 0
+        assert eu.next_event(4) == 10
+        assert eu.step(10) == 1
 
     def test_waw_dependency(self):
-        sb = Scoreboard()
-        sb.mark_write([4], 8)
-        assert sb.ready_at(self._inst()) == 8
+        # SIMD16 F32 r4 spans r4-r5; a pending write to r5 blocks too.
+        assert self._ready(_add(), regs={5: 8}) == 8
 
     def test_flag_dependency(self):
-        sb = Scoreboard()
-        sb.mark_flag_write(0, 6)
         inst = Instruction(opcode=Opcode.IF, width=16, pred=FlagRef(0))
-        assert sb.ready_at(inst) == 6
+        assert _issue_info(inst)[1] == ((), (0,))
+        assert self._ready(inst, flags={0: 6}) == 6
 
     def test_record_sets_write(self):
-        sb = Scoreboard()
-        sb.record(self._inst(), 12)
-        assert sb.ready_at(self._inst()) == 12
+        eu, (thread,) = _eu_with(_program(_add()))
+        assert eu.step(0) == 1
+        done = _full_add_cycles(eu) + Opcode.ADD.latency
+        assert thread.scoreboard._reg_ready == {4: done, 5: done}
 
     def test_monotone_mark(self):
-        sb = Scoreboard()
-        sb.mark_write([0], 10)
-        sb.mark_write([0], 5)  # earlier completion must not regress
-        assert sb.pending_max() == 10
+        """A dependent write waits for the one in flight and only ever
+        moves the register's ready cycle later."""
+        eu, (thread,) = _eu_with(_program(_add(), _add()))
+        eu.step(0)
+        first = thread.scoreboard._reg_ready[4]
+        now = eu.next_event(0)
+        assert now >= first
+        assert eu.step(now) == 1
+        assert thread.scoreboard._reg_ready[4] > first
 
 
 class TestPipes:
+    """Pipe occupancy as the scan applies it: ``busy_until`` after
+    ``step``, and no issue to a pipe before it."""
+
     def test_issue_occupies(self):
-        pipe = ExecPipe("fpu")
-        drain = pipe.issue(0, 4)
-        assert drain == 4
-        assert not pipe.can_accept(2)
-        assert pipe.can_accept(4)
+        eu, (first, second) = _eu_with(_program(_add()),
+                                       _program(_add(dst=8)))
+        assert eu.step(0) == 1  # both want the FPU; one gets it
+        cycles = _full_add_cycles(eu)
+        assert eu.pipes.fpu.busy_until == cycles
+        assert eu.pipes.em.busy_until == eu.pipes.send.busy_until == 0
+        for now in range(2, cycles, 2):
+            eu.step(now)
+        assert (first.instructions_executed,
+                second.instructions_executed) == (2, 0)  # ADD + EOT
+        eu.step(cycles)
+        assert second.instructions_executed == 1
+        assert eu.pipes.fpu.busy_until == 2 * cycles
 
     def test_issue_while_busy_rejected(self):
-        pipe = ExecPipe("fpu")
-        pipe.issue(0, 4)
-        with pytest.raises(RuntimeError):
-            pipe.issue(2, 1)
+        eu, (thread,) = _eu_with(_program(_add()))
+        eu.pipes.fpu.busy_until = 8
+        assert eu.step(4) == 0
+        assert thread.instructions_executed == 0
+        assert eu.next_event(4) == 8
+        assert eu.step(8) == 1
 
-    def test_zero_occupancy_rejected(self):
-        with pytest.raises(ValueError):
-            ExecPipe("fpu").issue(0, 0)
+    def test_masked_off_issue_still_occupies_one_cycle(self):
+        # SCC charges nothing for an empty mask; the pipe still takes one.
+        assert execution_cycles(0, 16, CompactionPolicy.SCC) == 0
+        eu, _ = _eu_with(_program(_add()), dispatch_mask=0,
+                         policy=CompactionPolicy.SCC)
+        assert eu.step(0) == 1
+        assert eu.pipes.fpu.busy_until == 1
+        assert eu.pipes.fpu.busy_cycles == 1
 
     def test_busy_cycles_accumulate(self):
-        pipe = ExecPipe("fpu")
-        pipe.issue(0, 4)
-        pipe.issue(4, 2)
-        assert pipe.busy_cycles == 6
+        eu, _ = _eu_with(_program(_add(), _add(dst=8)))
+        eu.step(0)
+        eu.step(eu.next_event(0))
+        assert eu.pipes.fpu.busy_cycles == 2 * _full_add_cycles(eu)
 
     def test_pipeset_routing(self):
         pipes = PipeSet()
-        assert pipes.for_opcode(Opcode.ADD) is pipes.fpu
-        assert pipes.for_opcode(Opcode.SQRT) is pipes.em
-        assert pipes.for_opcode(Opcode.LOAD) is pipes.send
-        with pytest.raises(ValueError):
-            pipes.for_opcode(Opcode.IF)
+        load = Instruction(opcode=Opcode.LOAD, width=16, dst=RegRef(4),
+                           sources=(RegRef(0),), surface=0)
+        sqrt = Instruction(opcode=Opcode.SQRT, width=16, dst=RegRef(4),
+                           sources=(RegRef(0),))
+        if_ = Instruction(opcode=Opcode.IF, width=16, pred=FlagRef(0))
+        assert pipes.by_index[_issue_info(_add())[2]] is pipes.fpu
+        assert pipes.by_index[_issue_info(sqrt)[2]] is pipes.em
+        assert pipes.by_index[_issue_info(load)[2]] is pipes.send
+        assert _issue_info(if_)[2] == -1  # control uses no pipe

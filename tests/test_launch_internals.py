@@ -149,3 +149,45 @@ class TestWorkgroupBarrierBookkeeping:
         instance.thread_done(0)
         instance.thread_done(0)
         assert instance.done
+
+
+class TestThreadState:
+    """Only the interp engine executes, so only its threads carry the
+    architectural state (registers, flags, mask stack)."""
+
+    ARCH_STATE = ("grf", "flags", "masks")
+
+    @staticmethod
+    def _threads(engine, monkeypatch):
+        from repro.eu.replay import ReplayLaunch
+        from repro.gpu import GpuSimulator
+
+        made = []
+        for cls in (Launch, ReplayLaunch):
+            original = cls._make_thread
+
+            def spy(self, *args, _original=original, **kwargs):
+                thread = _original(self, *args, **kwargs)
+                made.append(thread)
+                return thread
+
+            monkeypatch.setattr(cls, "_make_thread", spy)
+        out = np.zeros(64, dtype=np.int32)
+        GpuSimulator(GpuConfig(engine=engine)).run(
+            _program(), 64, buffers={"out": out})
+        return made
+
+    def test_fast_engine_threads_carry_no_arch_state(self, monkeypatch):
+        from repro.eu.replay import ReplayThread
+
+        threads = self._threads("fast", monkeypatch)
+        assert threads and all(type(t) is ReplayThread for t in threads)
+        for thread in threads:
+            assert not any(hasattr(thread, a) for a in self.ARCH_STATE)
+            assert thread.scoreboard is not None
+
+    def test_interp_threads_carry_arch_state(self, monkeypatch):
+        threads = self._threads("interp", monkeypatch)
+        assert threads
+        for thread in threads:
+            assert all(hasattr(thread, a) for a in self.ARCH_STATE)

@@ -20,6 +20,7 @@ from repro.serve import (
     RateLimiter,
     UnknownJobError,
 )
+from repro.serve.service import LOCAL_WORKER
 
 #: Terminal wait budget for locally-run jobs (generous for slow CI).
 WAIT = 120.0
@@ -266,6 +267,123 @@ class TestJournalRecovery:
         reborn = _service(tmp_path)
         assert reborn.get(first.id).state == JobState.CANCELLED
         assert len(reborn.list_jobs(state=JobState.QUEUED)) == 0
+
+
+class TestLocalHolder:
+    """The daemon's own executor is a lease holder named ``local``."""
+
+    def test_local_run_journals_lease_and_resolve(self, tmp_path):
+        async def scenario():
+            service = _service(tmp_path)
+            await service.start()
+            record = service.submit({"workload": "va", "policy": "scc"})
+            await _wait(record)
+            await service.drain()
+            return service, record
+
+        service, record = asyncio.run(scenario())
+        assert record.state == JobState.DONE
+        assert record.worker == LOCAL_WORKER
+        events = {e["event"]: e for e in service.journal.load()
+                  if e["id"] == record.id}
+        assert events["lease"]["worker"] == LOCAL_WORKER
+        assert events["resolve"]["worker"] == LOCAL_WORKER
+        assert events["resolve"]["fence"] == events["lease"]["fence"]
+        assert events["lease"]["assignments"] == 1
+        workers = service.metrics()["fleet"]["workers"]
+        assert workers[LOCAL_WORKER]["completed"] == 1
+        assert len(service.leases) == 0
+        # However long the daemon idles, its executor is not retired.
+        later = time.time() + 2 * service.worker_retire_horizon
+        service._now = lambda: later
+        service.expire_leases()
+        assert LOCAL_WORKER in service.metrics()["fleet"]["workers"]
+
+    def test_dead_daemons_local_lease_requeues_and_runs_once(self, tmp_path):
+        """A journal still holding a ``local`` lease (daemon killed
+        mid-batch) comes back QUEUED at once — no deadline to wait out —
+        and the job then executes exactly once."""
+        counter = tmp_path / "count.txt"
+
+        async def before():
+            service = _service(tmp_path)
+            record = service.submit(_count_spec(counter))
+            duplicate = service.submit(_count_spec(counter))
+            # The local executor's claim; the daemon dies before running.
+            grants = service._grant_jobs(LOCAL_WORKER, 1)
+            assert [g["id"] for g in grants] == [record.id]
+            return record.id, duplicate.id
+
+        job_id, dup_id = asyncio.run(before())
+        assert not _lines(counter)
+
+        async def after():
+            service = _service(tmp_path)
+            record, duplicate = service.get(job_id), service.get(dup_id)
+            assert record.state == JobState.QUEUED
+            assert duplicate.state == JobState.QUEUED
+            assert duplicate.dedup_of == job_id
+            assert len(service.leases) == 0
+            assert service.counters.get("serve.leases.reassigned") == 1
+            await service.start()
+            await _wait(record)
+            await _wait(duplicate)
+            await service.drain()
+            return record, duplicate
+
+        record, duplicate = asyncio.run(after())
+        assert record.state == duplicate.state == JobState.DONE
+        assert record.assignments == 2
+        assert len(_lines(counter)) == 1
+
+    def test_dead_daemons_local_lease_at_bound_fails_typed(self, tmp_path):
+        counter = tmp_path / "count.txt"
+        service = _service(tmp_path, max_assignments=1)
+        record = service.submit(_count_spec(counter))
+        service._grant_jobs(LOCAL_WORKER, 1)
+
+        reborn = _service(tmp_path, max_assignments=1)
+        record = reborn.get(record.id)
+        assert record.state == JobState.FAILED
+        assert record.exit_code == 5
+        assert record.error.startswith("WorkerCrashError")
+        assert not _lines(counter)
+
+    def test_runner_crash_fails_the_batch_and_frees_its_leases(
+            self, tmp_path):
+        """A runner that dies outright (not one job failing) fails every
+        job of its batch through the fenced path; no ``local`` lease is
+        left behind, since those never expire."""
+        async def scenario():
+            service = _service(tmp_path)
+
+            def crash(jobs, strict=None):
+                raise RuntimeError("pool exploded")
+
+            service.runner.run = crash
+            await service.start()
+            records = [service.submit({"workload": w}) for w in ("va", "dp")]
+            for record in records:
+                await _wait(record)
+            await service.drain()
+            return service, records
+
+        service, records = asyncio.run(scenario())
+        for record in records:
+            assert record.state == JobState.FAILED
+            assert record.error == "RuntimeError: pool exploded"
+        assert len(service.leases) == 0
+        assert service.metrics()["fleet"]["workers"][LOCAL_WORKER][
+            "failed"] == 2
+
+    def test_remote_workers_cannot_lease_as_local(self, tmp_path):
+        async def scenario():
+            service = _service(tmp_path, local_exec=False)
+            service.submit({"workload": "va"})
+            with pytest.raises(ValueError, match="reserved"):
+                await service.lease(LOCAL_WORKER)
+
+        asyncio.run(scenario())
 
 
 class TestAdmissionControl:
