@@ -862,7 +862,6 @@ def _cmd_worker(args) -> int:
         exit_on_drain=args.exit_on_drain,
         idle_exit=args.idle_exit,
         startup_timeout=args.startup_timeout,
-        fetch_cache=not args.no_cache_fetch,
     )
     worker.install_signal_handlers()
     return worker.run()
@@ -1169,10 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 3)")
     worker.add_argument("--no-retry", action="store_true",
                         help="fail fast on transient errors")
-    worker.add_argument("--no-cache-fetch", action="store_true",
-                        help="always simulate: skip the pre-execution "
-                             "probe of the daemon's fleet-shared result "
-                             "cache (publishing back still happens)")
     return parser
 
 

@@ -198,11 +198,11 @@ class RateLimitError(ServiceError):
 class CacheMissError(ServiceError):
     """The fleet result cache has no entry for the requested key.
 
-    Raised by the daemon's ``GET /cache/{key}`` endpoint (HTTP 404) and
+    Raised by the daemon's ``GET /cache/{key}`` endpoint (HTTP 404),
     re-raised typed by :meth:`repro.serve.client.ServeClient.cache_fetch`
-    so a worker's pre-simulation probe can distinguish "not cached yet —
-    go simulate" from a transport failure.  A miss is the *normal* cold
-    path, never retried.
+    so a caller can tell "not cached" from a transport failure, and by a
+    result post that names a published entry the store lacks (the
+    worker then reposts with the blob).  Never retried as is.
     """
 
     http_status = 404

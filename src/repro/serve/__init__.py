@@ -9,10 +9,11 @@ worker`` processes on any number of hosts join the daemon's fleet:
 they claim queued jobs under time-bounded, fence-tokened leases, and
 a worker that crashes mid-job simply stops heartbeating — the lease
 expires and the job is reassigned, up to a bounded number of
-attempts.  The fleet shares one content-keyed result store: workers
-fetch from ``GET /cache/{key}`` before simulating and publish
-serialized results back (salt-gated, digest-verified), so one grid
-over N workers is exactly one execution per point.  Stdlib only.
+attempts.  The fleet shares one content-keyed result store: the
+daemon resolves any spec the store already holds without leasing it,
+and workers publish serialized results into it (salt-gated,
+digest-verified) before posting them by digest, so one grid over N
+workers is exactly one execution per point.  Stdlib only.
 
 Layers (each importable on its own):
 

@@ -24,7 +24,7 @@ import http.client
 import json
 import random
 import time
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import quote
 
 from ..errors import CacheMissError, ServiceError
@@ -204,24 +204,22 @@ class ServeClient:
 
     def post_result(self, job_id: str, worker: str, fence: int,
                     result: Dict[str, Any], exec_seconds: float = 0.0,
-                    cache: Optional[Dict[str, Any]] = None,
-                    cached: bool = False) -> Dict[str, Any]:
+                    cache: Optional[Dict[str, Any]] = None
+                    ) -> Dict[str, Any]:
         """Publish a finished job's typed result payload.
 
-        *cache*, when given, is the full serialized result blob
-        (:func:`~repro.serve.jobs.result_blob`) the daemon persists
-        into the fleet-shared cache before resolving subscribers.
-        *cached* marks a result the worker served from the fleet cache
-        rather than simulating, so the daemon books it under
-        ``serve.jobs.cache_hits``.
+        *cache*, when given, is either a reference ``{"digest": ...}``
+        to the entry the worker already published (404 when the
+        daemon's store lacks it) or the full serialized result blob
+        (:func:`~repro.serve.jobs.result_blob`), which the daemon
+        persists into the fleet-shared cache before resolving
+        subscribers.
         """
         body: Dict[str, Any] = {"worker": worker, "fence": fence,
                                 "result": result,
                                 "exec_seconds": exec_seconds}
         if cache is not None:
             body["cache"] = cache
-        if cached:
-            body["cached"] = True
         return self.request("POST", f"/work/{job_id}/result", body=body)
 
     # -- fleet-shared cache endpoints --------------------------------------
@@ -297,12 +295,6 @@ class ServeClient:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(interval)
-
-    def iter_watch(self, job_ids, timeout: float = 300.0
-                   ) -> Iterator[Dict[str, Any]]:
-        """Watch several jobs, yielding each as it completes."""
-        for job_id in job_ids:
-            yield self.watch(job_id, timeout=timeout)
 
 
 def _parse_retry_after(value: Optional[str]) -> Optional[float]:

@@ -16,7 +16,8 @@ Routes::
     DELETE /jobs/{id}        cancel a queued job
     POST   /work/lease       claim queued jobs under a lease (long-poll)
     POST   /work/{id}/heartbeat  renew a lease           (fence-checked)
-    POST   /work/{id}/result     publish a remote result (fence-checked)
+    POST   /work/{id}/result     publish a remote result (fence-checked;
+                                 404 when its cache reference misses)
     POST   /work/{id}/fail       publish a typed failure (fence-checked)
     GET    /cache/{key}      fetch a fleet cache entry (salt-checked;
                              404 on miss, 412 on simulator-version skew)
@@ -283,8 +284,7 @@ class ServeApp:
                 job_id, body.get("worker"), body.get("fence"),
                 body.get("result"),
                 exec_seconds=body.get("exec_seconds", 0.0),
-                cache=body.get("cache"),
-                cached=bool(body.get("cached", False)))
+                cache=body.get("cache"))
         except (TypeError, ValueError) as exc:
             raise HttpError(400, str(exc))
         return 200, record.as_status()

@@ -2,11 +2,13 @@
 
 This is the daemon's engine room, deliberately independent of HTTP so
 it can be driven directly by tests (and embedded elsewhere).  Every job
-is leased by :meth:`JobService._grant_jobs` and resolved by the fenced
-:meth:`JobService.complete_remote` / :meth:`JobService.fail_remote`,
-whoever runs it.  The daemon's own executor is the lease holder
-:data:`LOCAL_WORKER`: it claims up to ``batch_max`` jobs at a time and
-feeds them to the existing :class:`repro.runner.Runner` — inheriting
+that runs is leased by :meth:`JobService._grant_jobs` and resolved by
+the fenced :meth:`JobService.complete_remote` /
+:meth:`JobService.fail_remote`, whoever runs it; a job the result store
+already answers is resolved without a lease.  The daemon's own
+executor is the lease holder :data:`LOCAL_WORKER`: it claims up to
+``batch_max`` jobs at a time and feeds them to the existing
+:class:`repro.runner.Runner` — inheriting
 its process-pool fan-out, content-keyed result cache, typed failures,
 bounded retries and per-job watchdog wholesale.  Its leases have no
 deadline (they last as long as the daemon; a restarted daemon requeues
@@ -33,14 +35,19 @@ needs on top:
   failed as :class:`~repro.errors.WorkerCrashError`, and every lease
   transition journaled so a restarted daemon rebuilds in-flight lease
   state;
-* **a fleet-shared result cache** — the runner's sharded
-  :class:`~repro.runner.ResultCache` is exposed over ``GET/POST
-  /cache/{key}``: workers probe it before simulating and publish full
-  serialized results back (salt-gated, digest-verified), and every
-  accepted remote result post is persisted into the store before
-  subscribers resolve — so N workers x one grid is exactly one
-  execution per point fleet-wide, and post-restart resubmissions (or a
-  foreground ``repro run`` over the same cache dir) are cache hits;
+* **answers from its own store** — the runner's sharded
+  :class:`~repro.runner.ResultCache` is the fleet's one result store.
+  A submission whose content key is neither queued nor running but is
+  stored resolves at admission as a cache hit (one ``submit`` + one
+  ``resolve`` journal record, no queue slot, no lease); the lease grant
+  repeats the check, covering a worker that published and then died.
+  Workers publish fresh results over ``POST /cache/{key}``
+  (salt-gated, digest-verified) and then post the result naming the
+  stored entry by digest; a post that carries the blob instead (the
+  publish failed) is persisted before subscribers resolve.  So N
+  workers x one grid is exactly one execution per point fleet-wide,
+  and post-restart resubmissions (or a foreground ``repro run`` over
+  the same cache dir) are cache hits;
 * **service metrics** — a telemetry
   :class:`~repro.telemetry.counters.CounterRegistry` of
   submitted/deduped/cache-hit/executed/failed/recovered counts plus
@@ -64,6 +71,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import (
+    CacheCorruptionError,
     CacheMissError,
     CodeSaltMismatchError,
     FenceRejectedError,
@@ -397,8 +405,10 @@ class JobService:
     def submit(self, payload: Any, client: str = "") -> JobRecord:
         """Admit one job; raises the typed admission errors.
 
-        ``ValueError`` means a malformed spec (HTTP 400);
-        :class:`RateLimitError` and :class:`QueueFullError` are
+        A spec already queued or running subscribes to that job; one
+        the store holds resolves here as a cache hit, with no queue
+        slot and no lease.  ``ValueError`` means a malformed spec (HTTP
+        400); :class:`RateLimitError` and :class:`QueueFullError` are
         backpressure (HTTP 429 / 503).
         """
         if self._draining:
@@ -414,6 +424,7 @@ class JobService:
         record = JobRecord(id=_new_job_id(), spec=spec, key=job.key,
                            client=client, submitted_at=time.time())
         primary_id = self._inflight.get(job.key)
+        stored = None
         if primary_id is not None:
             # Identical job already queued or executing: subscribe.
             record.dedup_of = primary_id
@@ -424,18 +435,23 @@ class JobService:
                 record.started_at = primary.started_at
             self.counters.incr("serve.jobs.deduped")
         else:
-            if len(self._queue) >= self.queue_limit:
-                self.counters.incr("serve.jobs.rejected.queue_full")
-                raise QueueFullError(
-                    f"job queue is full ({self.queue_limit} deep)")
-            self._inflight[job.key] = record.id
-            self._queue.append(record.id)
+            stored = self._stored(job.key)
+            if stored is None:
+                if len(self._queue) >= self.queue_limit:
+                    self.counters.incr("serve.jobs.rejected.queue_full")
+                    raise QueueFullError(
+                        f"job queue is full ({self.queue_limit} deep)")
+                self._inflight[job.key] = record.id
+                self._queue.append(record.id)
         self.jobs[record.id] = record
         self.counters.incr("serve.jobs.submitted")
         self.journal.append("submit", record.id, spec=spec.as_dict(),
                             key=record.key, client=client,
                             submitted_at=record.submitted_at,
                             dedup_of=record.dedup_of)
+        if stored is not None:
+            self._resolve_stored(record, stored)
+            return record
         if self._wake is not None:
             self._wake.set()
         if self._work is not None and self._queue:
@@ -553,6 +569,9 @@ class JobService:
                     max_jobs: int) -> List[Dict[str, Any]]:
         """Pop queued primaries and lease them to *worker* (loop thread).
 
+        A primary whose result the store gained while it waited (a
+        worker that published and then died, a peer's publish) resolves
+        here as a cache hit instead of being leased.
         :data:`LOCAL_WORKER` leases have no deadline: that holder lives
         and dies with the daemon.
         """
@@ -563,6 +582,10 @@ class JobService:
             job_id = self._queue.popleft()
             record = self.jobs[job_id]
             if record.state != JobState.QUEUED:
+                continue
+            stored = self._stored(record.key)
+            if stored is not None:
+                self._resolve_stored(record, stored)
                 continue
             record.assignments += 1
             lease = self.leases.grant(job_id, worker, ttl, now)
@@ -664,22 +687,19 @@ class JobService:
         lease expired and whose job was reassigned — is rejected and
         journaled as ``fence_reject``.
 
-        *cache*, when present, is the full serialized result
-        (:func:`~repro.serve.jobs.result_blob`): it is salt-gated,
-        digest-verified, and persisted into the daemon's
-        :class:`~repro.runner.ResultCache` **before** subscribers are
-        resolved, so post-restart resubmissions and foreground
-        ``repro run``s of the same point hit cache.  A bad blob rejects
-        the whole post (the lease stays live): a malformed envelope is
-        a 400, a mixed-simulator-version salt a typed
-        :class:`~repro.errors.CodeSaltMismatchError` (412).
+        *cache*, when present, ties the post to the daemon's
+        :class:`~repro.runner.ResultCache` (see :meth:`_posted_entry`):
+        either a reference ``{"digest": ...}`` to the entry the worker
+        published before posting, or the full serialized result
+        (:func:`~repro.serve.jobs.result_blob`), persisted **before**
+        subscribers are resolved.  A bad *cache* rejects the whole post
+        and the lease stays live.
 
-        *cached* marks a post whose payload the worker served from the
-        fleet cache instead of simulating: the resolution is booked
-        under ``serve.jobs.cache_hits`` (the record's ``cache_hit``
-        flag rides the journal), leaving ``serve.jobs.executed`` an
-        honest count of actual simulations.  The local executor passes
-        its :class:`~repro.gpu.results.KernelRunResult` as *result*.
+        The local executor passes its
+        :class:`~repro.gpu.results.KernelRunResult` as *result*, and
+        *cached* when its runner served the job from the store, so the
+        resolution books under ``serve.jobs.cache_hits`` and
+        ``serve.jobs.executed`` stays a count of actual simulations.
         """
         record = self.jobs.get(job_id)
         if (record is not None and record.state in JobState.TERMINAL
@@ -697,14 +717,8 @@ class JobService:
                              f"JSON result payload")
         exec_seconds = max(0.0, float(exec_seconds or 0.0))
         if cache is not None:
-            reconstructed = self._ingest_result_blob(record, cache, result,
-                                                     worker)
-        trace_path = None
-        if (reconstructed is not None and record.spec.telemetry == "trace"
-                and reconstructed.telemetry is not None):
-            # The blob (or the local executor) hands us the full result
-            # object, trace included.
-            trace_path = self._export_trace(record, reconstructed)
+            reconstructed = self._posted_entry(record, cache, result, worker)
+        trace_path = self._trace_for(record, reconstructed)
         self.leases.release(job_id)
         now = self._now()
         info = self.leases.touch(worker, now)
@@ -716,44 +730,98 @@ class JobService:
                             trace_path=trace_path)
         return record
 
-    def _ingest_result_blob(self, record: JobRecord, blob: Any,
-                            result: Dict[str, Any], worker: str):
-        """Persist a result post's serialized blob into the shared cache.
+    def _posted_entry(self, record: JobRecord, cache: Any,
+                      result: Dict[str, Any],
+                      worker: str) -> Optional[KernelRunResult]:
+        """The stored result a result post's *cache* field stands for.
 
-        Returns the verified reconstructed result (None when there is
-        nothing to store: no cache configured, or the entry already
-        exists — a pre-post publish or a racing peer won).
+        A blob envelope (it has ``data``) is ingested first, as by
+        :meth:`cache_publish`; a reference (``{"digest": ...}``) names
+        the entry the worker published before posting.  A key the store
+        then lacks is a typed :class:`~repro.errors.CacheMissError`
+        (404), so the worker reposts with the blob.  The stored entry's
+        buffer digest must equal the posted payload's: a mismatch, like
+        a malformed envelope, is a ``ValueError`` (400).  Returns None
+        only for a blob posted to a daemon without a store.
         """
-        data = blob_bytes(blob)  # ValueError (400) on a bad envelope
-        salt = blob.get("salt")
-        if not isinstance(salt, str) or not salt:
-            raise ValueError(f"cache blob for job {record.id} needs the "
-                             f"sender's code salt")
-        claimed = blob.get("digest")
+        if not isinstance(cache, dict):
+            raise ValueError(f"cache field for job {record.id} must be a "
+                             f"blob envelope or a digest reference")
+        claimed = cache.get("digest")
         posted = result.get("buffers_digest")
         if (claimed is not None and posted is not None
                 and claimed != posted):
             raise ValueError(
-                f"cache blob for job {record.id} claims buffer digest "
+                f"cache field for job {record.id} claims buffer digest "
                 f"{str(claimed)[:16]}... but the posted result payload "
                 f"says {str(posted)[:16]}...")
+        if "data" in cache:
+            self._ingest(record.key, cache, worker, record.id, "result_post")
+            if self.runner.cache is None:
+                return None
+        stored = self._stored(record.key)
+        if stored is None:
+            raise CacheMissError(
+                f"job {record.id}'s result post names a cache entry the "
+                f"store does not hold; repost with the blob")
+        if stored.buffers_digest != posted:
+            raise ValueError(
+                f"stored entry for job {record.id} has buffer digest "
+                f"{stored.buffers_digest[:16]}... but the posted result "
+                f"payload says {str(posted)[:16]}...")
+        return stored
+
+    def _ingest(self, key: str, blob: Any, worker: str, job_id: str,
+                via: str) -> Optional[KernelRunResult]:
+        """Store a published blob under *key* unless the store holds it.
+
+        Salt-gated (a foreign salt is a typed
+        :class:`~repro.errors.CodeSaltMismatchError`, 412) and
+        digest-verified; a malformed envelope is a ``ValueError``.
+        Returns the result when this call stored it, else None (the
+        store already held the key, or there is no store).
+        """
+        data = blob_bytes(blob)
+        salt = blob.get("salt")
+        if not isinstance(salt, str) or not salt:
+            raise ValueError(f"cache blob for key {key!r} needs the "
+                             f"sender's code salt")
         store = self.runner.cache
         gate = store.salt if store is not None else code_salt()
         if salt != gate:
             raise CodeSaltMismatchError(
-                f"worker {worker!r} posted job {record.id} with code salt "
-                f"{salt!r} but the daemon runs {gate!r} (mixed simulator "
-                f"versions in the fleet)")
-        if store is None or store.path_for_key(record.key).exists():
+                f"cache blob for key {key!r} from worker {worker!r} carries "
+                f"code salt {salt!r} but the daemon runs {gate!r} (mixed "
+                f"simulator versions in the fleet)")
+        if store is None or self._stored(key) is not None:
             return None
-        reconstructed = store.store_payload(record.key, data, salt=salt,
-                                            expect_digest=claimed)
+        result = store.store_payload(key, data, salt=salt,
+                                     expect_digest=blob.get("digest"))
         self.counters.incr("serve.cache.published")
-        self.journal.append("publish", record.id, key=record.key,
-                            worker=worker,
-                            digest=reconstructed.buffers_digest,
-                            via="result_post")
-        return reconstructed
+        self.journal.append("publish", job_id or "-", key=key,
+                            worker=worker, digest=result.buffers_digest,
+                            via=via)
+        return result
+
+    def _stored(self, key: str) -> Optional[KernelRunResult]:
+        """The store's result for content *key*, or None (no store, no
+        entry, or a corrupt entry, which the store quarantines)."""
+        store = self.runner.cache
+        if store is None:
+            return None
+        try:
+            entry = store.fetch(key)
+        except CacheCorruptionError:  # strict store: still just a miss
+            return None
+        return entry[1] if entry is not None else None
+
+    def _resolve_stored(self, record: JobRecord,
+                        result: KernelRunResult) -> None:
+        """Resolve a queued or just-submitted primary (and its
+        subscribers) from a store entry: a cache hit, no lease."""
+        self._resolve_group(record, "cached",
+                            payload=result_payload(record.spec, result),
+                            trace_path=self._trace_for(record, result))
 
     # -- fleet-shared result cache (fetch / publish) -----------------------
 
@@ -766,8 +834,9 @@ class JobService:
         typed :class:`~repro.errors.CodeSaltMismatchError` (412) instead
         of bytes its build would misinterpret.  A miss — no store, no
         entry, or a quarantined-corrupt entry — is a typed
-        :class:`~repro.errors.CacheMissError` (404): the normal cold
-        path, after which the caller simulates.
+        :class:`~repro.errors.CacheMissError` (404).  Workers do not
+        probe it before simulating (the daemon resolves stored specs
+        itself); it is the store's read path for other fleet clients.
         """
         self.counters.incr("serve.cache.fetch")
         if not isinstance(key, str) or not key:
@@ -792,38 +861,24 @@ class JobService:
 
         The fleet-internal publish path workers use *before* posting
         their result, so a fully-computed answer survives a worker that
-        dies between execution and lease resolution.  Deliberately not
-        fence-checked — entries are content-keyed pure data, verified by
-        digest and gated by code salt, so even a fenced-out zombie's
-        publish is bit-identical to the live owner's.
+        dies between execution and lease resolution; the result post
+        then names the entry by digest instead of carrying it again.
+        Deliberately not fence-checked — entries are content-keyed pure
+        data, verified by digest and gated by code salt, so even a
+        fenced-out zombie's publish is bit-identical to the live
+        owner's.
         """
         if not isinstance(key, str) or not key:
             raise ValueError("cache publish needs a content key")
-        data = blob_bytes(blob)
-        salt = blob.get("salt")
-        if not isinstance(salt, str) or not salt:
-            raise ValueError("cache publish needs the sender's code salt")
-        store = self.runner.cache
-        gate = store.salt if store is not None else code_salt()
-        if salt != gate:
-            raise CodeSaltMismatchError(
-                f"cache publish for key {key!r} carries code salt "
-                f"{salt!r} but the daemon runs {gate!r} (mixed simulator "
-                f"versions in the fleet)")
+        result = self._ingest(key, blob, worker, job_id, "endpoint")
         if worker:
             self.leases.touch(worker, self._now())
-        if store is None:
-            return {"key": key, "stored": False, "reason": "no cache"}
-        if store.path_for_key(key).exists():
-            return {"key": key, "stored": False, "reason": "exists"}
-        result = store.store_payload(key, data, salt=salt,
-                                     expect_digest=blob.get("digest"))
-        self.counters.incr("serve.cache.published")
-        self.journal.append("publish", job_id or "-", key=key,
-                            worker=worker, digest=result.buffers_digest,
-                            via="endpoint")
-        return {"key": key, "stored": True,
-                "digest": result.buffers_digest}
+        if result is not None:
+            return {"key": key, "stored": True,
+                    "digest": result.buffers_digest}
+        exists = self.runner.cache is not None
+        return {"key": key, "stored": False,
+                "reason": "exists" if exists else "no cache"}
 
     def fail_remote(self, job_id: str, worker: str, fence: Any,
                     error: str, exit_code: Optional[int] = None,
@@ -1060,7 +1115,13 @@ class JobService:
                 error=member.error, exit_code=member.exit_code,
                 worker=record.worker, fence=record.resolved_fence)
 
-    def _export_trace(self, record: JobRecord, result) -> Optional[str]:
+    def _trace_for(self, record: JobRecord,
+                   result: Optional[KernelRunResult]) -> Optional[str]:
+        """Export *record*'s Chrome trace from the full *result* when the
+        spec asked for one and the result carries it; else None."""
+        if (result is None or record.spec.telemetry != "trace"
+                or result.telemetry is None):
+            return None
         from ..telemetry import export_chrome_trace
 
         self.trace_dir.mkdir(parents=True, exist_ok=True)

@@ -10,13 +10,15 @@ thread while simulating, and publishes the typed result payload (or a
 typed failure from the :mod:`repro.errors` taxonomy) back to the
 daemon.
 
-The fleet-shared result cache rides the same loop: before simulating,
-the worker probes ``GET /cache/{key}`` (code-salt-checked; opt out with
-``--no-cache-fetch``) and serves a verified hit instead of
-re-executing; after a fresh execution it publishes the serialized
-result to ``POST /cache/{key}`` *before* posting — so a crash between
-execution and resolution leaves the answer in the store — and attaches
-the same blob to the result post as the guaranteed ingest path.
+The fleet-shared result cache rides the same loop.  The daemon
+answers specs its store already holds without leasing them, so every
+grant is a job to simulate.  After executing, the worker publishes the
+serialized result to ``POST /cache/{key}`` *before* posting — so a
+crash between execution and resolution leaves the answer in the store
+— and the result post then names that entry by digest instead of
+carrying the blob again.  It keeps the blob until the post lands: when
+the publish failed the post carries it, and when the daemon answers a
+reference with 404 (the entry is gone) the worker reposts with it.
 
 Crash semantics are the daemon's lease table's business, not ours: a
 worker that dies mid-job (``kill -9``, OOM, power loss) simply stops
@@ -47,18 +49,9 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
-from ..errors import (
-    CacheCorruptionError,
-    CacheMissError,
-    ServiceError,
-    SimulationError,
-    describe,
-    exit_code_for,
-)
-from ..runner import code_salt
+from ..errors import ServiceError, SimulationError, describe, exit_code_for
 from .client import ServeClient, ServeClientError
-from .jobs import JobSpec, JobState, result_blob, result_from_blob, \
-    result_payload
+from .jobs import JobSpec, JobState, result_blob, result_payload
 
 #: Environment variable carrying comma-separated chaos fault hooks.
 CHAOS_ENV = "REPRO_WORKER_CHAOS"
@@ -70,7 +63,7 @@ MAX_BLOB_BYTES = 6 << 20
 #: Result-post failures worth retrying at the worker level (on top of
 #: the client's per-request transparent retry): transport loss (status
 #: 0) and server-side transient conditions.  Deterministic rejections
-#: (400, 409 fence, 412 salt) never burn a retry.
+#: (400, 404, 409 fence, 412 salt) never burn a retry.
 RETRY_POST_STATUSES = (0, 429, 500, 502, 503)
 
 
@@ -90,7 +83,8 @@ class ChaosHooks:
     * ``die-after-publish`` — execute the job, publish the serialized
       result into the fleet cache, then ``os._exit`` before posting:
       models a crash in the window between cache publish and lease
-      resolution (the reassigned run must be served from cache).
+      resolution (the daemon must resolve the job from its store
+      instead of leasing it again).
     * ``dup-result`` — post the result twice: models a retried post
       whose first response was lost; the daemon must answer the second
       idempotently.
@@ -190,9 +184,6 @@ class ServeWorker:
             wait forever).
         startup_timeout: exit 7 if the daemon was never reachable for
             this long.
-        fetch_cache: probe the daemon's fleet-shared result cache
-            before simulating (the ``--no-cache-fetch`` opt-out);
-            publishing back is always attempted for fresh executions.
         result_post_retries: bounded worker-level retries of a failed
             result post (the worker keeps heartbeating throughout, so
             the lease survives a daemon blip instead of burning an
@@ -206,7 +197,6 @@ class ServeWorker:
                  exit_on_drain: bool = False,
                  idle_exit: Optional[float] = None,
                  startup_timeout: float = 60.0,
-                 fetch_cache: bool = True,
                  result_post_retries: int = 8,
                  chaos: Optional[ChaosHooks] = None,
                  log=None) -> None:
@@ -218,17 +208,15 @@ class ServeWorker:
         self.exit_on_drain = exit_on_drain
         self.idle_exit = idle_exit
         self.startup_timeout = startup_timeout
-        self.fetch_cache = fetch_cache
         self.result_post_retries = max(0, int(result_post_retries))
         self.chaos = chaos if chaos is not None else ChaosHooks.from_env()
         self.log = log if log is not None else self._log_stderr
         self.completed = 0
         self.failed = 0
         self.fenced_drops = 0
-        #: Jobs this worker ran (or served from cache) to a conclusion,
-        #: whatever became of the post — the ``--max-jobs`` odometer.
+        #: Jobs this worker ran to a conclusion, whatever became of
+        #: the post — the ``--max-jobs`` odometer.
         self.executed = 0
-        self.cache_hits = 0
         self.published = 0
         self._connected = False
         self._stop = threading.Event()
@@ -324,46 +312,34 @@ class ServeWorker:
         beater = _Heartbeater(self.client, job_id, self.name, fence,
                               interval, self.chaos, self.log)
         beater.start()
-        blob = None
-        cached = self._fetch_cached(key) if self.fetch_cache else None
-        if cached is not None:
-            payload, elapsed = result_payload(spec, cached), 0.0
-        else:
-            try:
-                result, elapsed = self._simulate(spec)
-            except SimulationError as exc:
-                beater.stop()
-                beater.join()
-                self.failed += 1
-                self.executed += 1
-                if beater.fenced:
-                    self.fenced_drops += 1
-                    return  # the job moved on; our failure is nobody's news
+        try:
+            result, elapsed = self._simulate(spec)
+        except Exception as exc:
+            beater.stop()
+            beater.join()
+            self.failed += 1
+            self.executed += 1
+            if beater.fenced:
+                self.fenced_drops += 1
+                return  # the job moved on; our failure is nobody's news
+            if isinstance(exc, SimulationError):
                 self._post_failure(job_id, fence, describe(exc),
                                    exit_code_for(exc),
                                    transient=exc.transient)
-                return
-            except Exception as exc:  # unclassified: worker-crash taxonomy
-                beater.stop()
-                beater.join()
-                self.failed += 1
-                self.executed += 1
-                if beater.fenced:
-                    self.fenced_drops += 1
-                    return
+            else:  # unclassified: worker-crash taxonomy
                 self._post_failure(job_id, fence,
                                    f"WorkerCrashError: worker {self.name} "
                                    f"raised {describe(exc)}", 5,
                                    transient=True)
-                return
-            payload = result_payload(spec, result)
-            blob = result_blob(result)
-            # Publish before posting: if we die in between, the answer
-            # already lives in the fleet store and the reassigned run
-            # is a cache hit instead of a re-execution.
-            self._publish(key, blob, job_id)
-            if self.chaos.die_after_publish:
-                os._exit(137)  # chaos: crashed between publish and post
+            return
+        payload = result_payload(spec, result)
+        blob = result_blob(result)
+        # Publish before posting: if we die in between, the answer
+        # already lives in the fleet store and the daemon resolves the
+        # job from it instead of leasing it again.
+        published = self._publish(key, blob, job_id)
+        if self.chaos.die_after_publish:
+            os._exit(137)  # chaos: crashed between publish and post
         self.executed += 1
         if self.chaos.die_before_result:
             os._exit(137)  # chaos: crashed between execution and post
@@ -377,7 +353,7 @@ class ServeWorker:
         # retries): a daemon blip must not cost us the lease while we
         # hold a fully-computed result.
         self._post_result(job_id, fence, payload, elapsed, cache=blob,
-                          beater=beater, cached=cached is not None)
+                          beater=beater, published=published)
         beater.stop()
         beater.join()
 
@@ -392,55 +368,33 @@ class ServeWorker:
         elapsed = time.perf_counter() - start
         return result, elapsed
 
-    # -- fleet-shared cache ------------------------------------------------
+    # -- publish and post --------------------------------------------------
 
-    def _fetch_cached(self, key: str):
-        """The daemon's cached result for *key*, or None (then simulate).
-
-        Misses and transport trouble both fall back to simulating —
-        the cache is an optimization, never a dependency — but a served
-        blob is digest-verified before it is trusted.
-        """
-        try:
-            body = self.client.cache_fetch(key, salt=code_salt())
-        except CacheMissError:
-            return None
-        except ServeClientError as exc:
-            self.log(f"cache fetch failed ({exc}); simulating")
-            return None
-        try:
-            result = result_from_blob(body)
-        except (ValueError, CacheCorruptionError) as exc:
-            self.log(f"cache fetch returned an unusable blob "
-                     f"({describe(exc)}); simulating")
-            return None
-        self.cache_hits += 1
-        self.log(f"serving from fleet cache (key {key.split('|')[0]}|...)")
-        return result
-
-    def _publish(self, key: str, blob: Dict[str, Any],
-                 job_id: str) -> None:
-        """Best-effort pre-post publish of a fresh result (never fatal:
-        the result post carries the same blob as a fallback)."""
+    def _publish(self, key: str, blob: Dict[str, Any], job_id: str) -> bool:
+        """Best-effort pre-post publish of a fresh result; True when the
+        daemon's store holds the entry afterwards (stored now or
+        already there), so the result post can name it by digest."""
         if blob.get("size", 0) > MAX_BLOB_BYTES:
             self.log(f"job {job_id}: result too large to publish "
                      f"({blob['size']} bytes); posting inline only")
-            return
+            return False
         try:
             body = self.client.cache_publish(key, blob, worker=self.name,
                                              job_id=job_id)
         except ServeClientError as exc:
             self.log(f"job {job_id}: cache publish failed ({exc}); "
-                     f"the result post still carries the blob")
-            return
+                     f"the result post carries the blob")
+            return False
         if body.get("stored"):
             self.published += 1
+            return True
+        return body.get("reason") == "exists"
 
     def _post_result(self, job_id: str, fence: int,
                      payload: Dict[str, Any], elapsed: float,
                      cache: Optional[Dict[str, Any]] = None,
                      beater: Optional[_Heartbeater] = None,
-                     cached: bool = False) -> bool:
+                     published: bool = False) -> bool:
         """Deliver a computed result; bounded retry on transport loss.
 
         A fully-computed result is too expensive to drop on a daemon
@@ -452,12 +406,14 @@ class ServeWorker:
         *cache blob* crossed a simulator-version boundary, so the post
         is retried once without it (the JSON payload is still valid).
 
-        *cached* marks a fleet-cache serve, so the daemon books the
-        resolution under ``serve.jobs.cache_hits`` instead of
-        ``serve.jobs.executed``.
+        With *published*, the post names the entry the worker published
+        by digest instead of carrying the *cache* blob; a 404 (the
+        daemon's store lacks it) reposts once with the blob.
         """
         if cache is not None and cache.get("size", 0) > MAX_BLOB_BYTES:
             cache = None
+        sent = ({"digest": cache["digest"]} if published and cache
+                else cache)
         posts = 2 if self.chaos.dup_result else 1
         delivered = False
         for duplicate in range(posts):
@@ -472,18 +428,24 @@ class ServeWorker:
                 try:
                     self.client.post_result(job_id, self.name, fence,
                                             payload, exec_seconds=elapsed,
-                                            cache=cache, cached=cached)
+                                            cache=sent)
                 except ServeClientError as exc:
                     if exc.status == 409:
                         self.fenced_drops += 1
                         self.log(f"job {job_id}: result rejected "
                                  f"(stale fence {fence}); dropped")
                         return delivered
-                    if exc.status == 412 and cache is not None:
+                    if exc.status == 404 and sent is not cache:
+                        self.log(f"job {job_id}: daemon lacks the "
+                                 f"published entry ({exc}); reposting "
+                                 f"with the blob")
+                        sent = cache
+                        continue
+                    if exc.status == 412 and sent is not None:
                         self.log(f"job {job_id}: cache blob rejected "
                                  f"(code-salt skew: {exc}); reposting "
                                  f"without it")
-                        cache = None
+                        sent = cache = None
                         continue
                     if beater is not None and beater.terminal:
                         self.log(f"job {job_id}: already terminal at the "

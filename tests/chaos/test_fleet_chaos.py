@@ -34,6 +34,15 @@ def _tally(counter):
         return []
 
 
+def _job_events(daemon, job_id):
+    """The journaled event kinds of one job, in order."""
+    from repro.serve.journal import ServeJournal
+
+    return [entry["event"] for entry in
+            ServeJournal(daemon.data_dir / "jobs.jsonl").load()
+            if entry["id"] == job_id]
+
+
 def _foreground_payload(spec_body):
     """The result a plain in-process run produces for *spec_body* —
     the bit-identity reference every chaos survivor must match."""
@@ -81,16 +90,22 @@ class TestWorkerKill9:
     def test_crash_after_execution_result_is_bit_identical(
             self, daemon, tmp_path):
         """A worker that dies *between* executing and posting
-        (die-before-result) forces a re-execution on a peer; the
-        surviving result must equal a foreground run bit for bit."""
+        (die-before-result) has already published, so once its lease
+        expires the daemon resolves the job from its store at the
+        survivor's next lease poll; the surviving result must equal a
+        foreground run bit for bit."""
         spec_body = {"workload": "va"}
         client = daemon.client()
         job = client.submit(spec_body)
         daemon.worker("w1", chaos="die-before-result")
+        wait_for(lambda: client.metrics()["counters"].get(
+            "serve.cache.published", 0) >= 1,
+            message="w1 to execute and publish")
         daemon.worker("w2")  # the survivor
         final = client.watch(job["id"], timeout=WAIT)
         assert final["state"] == "done"
-        assert final["worker"] == "w2"
+        assert final["cache_hit"] is True
+        assert final["assignments"] == 1
         body = client.result(job["id"])
         assert body["result"] == _foreground_payload(spec_body)
 
@@ -181,12 +196,12 @@ class TestCachePublishCrash:
     def test_die_after_publish_serves_reassigned_run_from_cache(
             self, daemon, tmp_path):
         """SIGKILL the worker in the window between its cache publish
-        and its result post (die-after-publish): the lease expires, the
-        job is reassigned, and the second worker must serve the
-        *published* result instead of re-executing — the tally shows
-        exactly ONE execution across both assignments.  A daemon
-        restart plus resubmission of the same spec is then a cache hit
-        too: still one tally line, zero new simulations."""
+        and its result post (die-after-publish): the lease expires, and
+        the next grant finds the *published* result in the daemon's
+        store and resolves the job from it — no second lease, and the
+        tally shows exactly ONE execution.  A daemon restart plus
+        resubmission of the same spec then resolves at admission: still
+        one tally line, zero new leases or simulations."""
         client = daemon.client()
         counter = tmp_path / "tally.txt"
         spec_body = _count_spec(counter)
@@ -200,16 +215,20 @@ class TestCachePublishCrash:
         daemon.worker("w2")
         final = client.watch(job["id"], timeout=WAIT)
         assert final["state"] == "done"
-        assert final["worker"] == "w2"
-        assert final["assignments"] == 2
-        assert len(_tally(counter)) == 1  # w2 served, never re-executed
+        assert final["assignments"] == 1  # w1's lease was the only one
+        assert len(_tally(counter)) == 1  # never re-executed
         assert final["cache_hit"] is True
         counters = client.metrics()["counters"]
-        assert counters["serve.cache.fetch_hits"] >= 1
-        # w1's real execution died before its post, and w2's post is
-        # marked as a cache serve: nothing books under jobs.executed.
+        assert counters["serve.leases.granted"] == 1
+        # w1's real execution died before its post, and the store
+        # answered the requeued job: nothing books under jobs.executed.
         assert counters.get("serve.jobs.executed", 0) == 0
         assert counters.get("serve.jobs.cache_hits", 0) == 1
+        events = _job_events(daemon, job["id"])
+        assert events.count("lease") == 1
+        assert events.count("resolve") == 1
+        assert events[-1] == "resolve"
+        assert events.index("publish") < events.index("expire")
 
         # Daemon restart + resubmission: the store outlives the daemon.
         daemon.kill9()
@@ -217,14 +236,17 @@ class TestCachePublishCrash:
         client = daemon.client()
         again = client.submit(spec_body)
         assert again["id"] != job["id"]
-        final = client.watch(again["id"], timeout=WAIT)
-        assert final["state"] == "done"
+        assert again["state"] == "done"  # resolved inside the submit
+        assert again["cache_hit"] is True
         assert len(_tally(counter)) == 1  # STILL one execution, ever
-        assert client.metrics()["counters"]["serve.cache.fetch_hits"] >= 1
+        counters = client.metrics()["counters"]
+        assert counters.get("serve.leases.granted", 0) == 0
+        assert counters.get("serve.jobs.cache_hits", 0) == 1
+        assert _job_events(daemon, again["id"]) == ["submit", "resolve"]
 
     def test_cache_served_result_is_bit_identical(self, daemon, tmp_path):
-        """The result the second worker serves from the fleet cache
-        must equal a foreground run bit for bit — same contract as a
+        """The result the daemon serves from the published entry must
+        equal a foreground run bit for bit — same contract as a
         re-execution, without the execution."""
         spec_body = {"workload": "va", "policy": "bcc"}
         client = daemon.client()
@@ -236,7 +258,10 @@ class TestCachePublishCrash:
         daemon.worker("w2")
         final = client.watch(job["id"], timeout=WAIT)
         assert final["state"] == "done"
-        assert final["worker"] == "w2"
-        assert client.metrics()["counters"]["serve.cache.fetch_hits"] >= 1
+        assert final["cache_hit"] is True
+        assert final["assignments"] == 1
+        counters = client.metrics()["counters"]
+        assert counters.get("serve.jobs.cache_hits", 0) == 1
+        assert counters["serve.leases.granted"] == 1
         body = client.result(job["id"])
         assert body["result"] == _foreground_payload(spec_body)

@@ -5,7 +5,7 @@ Two bugs this file pins down (both must FAIL on the pre-fix worker):
 * ``--max-jobs`` counted only *completed* jobs, so a worker whose jobs
   all failed (or were all fenced drops) never exited — it polled
   forever.  The cap now runs on the ``executed`` odometer: every job
-  run (or served from cache) to a conclusion counts exactly once.
+  run to a conclusion counts exactly once.
 * ``_post_result`` dropped a fully-computed result on ANY non-409
   transport failure — one daemon blip and minutes of simulation went
   in the bin.  The worker now keeps heartbeating and retries the post
@@ -16,7 +16,9 @@ The max-jobs tests drive the real ``run()`` loop against an in-process
 scripted fake client; the post-retry tests drive ``_post_result``
 against a real flaky HTTP server (the ``tests/test_client_retry.py``
 pattern) through a real :class:`ServeClient` with its own transparent
-retry disabled, so only the *worker-level* policy is under test.
+retry disabled, so only the *worker-level* policy is under test.  The
+same two harnesses pin the reference post: a published result is
+posted by digest, and the blob rides along only when it must.
 """
 
 import http.server
@@ -25,7 +27,7 @@ import threading
 
 import pytest
 
-from repro.errors import CacheMissError, DeadlockError
+from repro.errors import DeadlockError
 from repro.serve import ChaosHooks, ServeWorker
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.worker import RETRY_POST_STATUSES
@@ -39,14 +41,16 @@ class FakeClient:
 
     ``lease()`` pops one pre-scripted grant per call (empty once the
     script runs dry) and counts every poll; posts are recorded, never
-    transported.  The fleet cache always misses.
+    transported.  Publishes store unless ``publish_fails``.
     """
 
-    def __init__(self, grants):
+    def __init__(self, grants, publish_fails=False):
         self.grants = list(grants)
         self.lease_calls = 0
         self.failures_posted = []
         self.results_posted = []
+        self.caches_posted = []
+        self.publish_fails = publish_fails
 
     def lease(self, worker, max_jobs=1, wait=0.0):
         self.lease_calls += 1
@@ -57,16 +61,15 @@ class FakeClient:
     def heartbeat(self, job_id, worker, fence):
         return {"id": job_id, "state": "running"}
 
-    def cache_fetch(self, key, salt=None):
-        raise CacheMissError(f"no entry for {key!r}")
-
     def cache_publish(self, key, blob, worker="", job_id=""):
+        if self.publish_fails:
+            raise ServeClientError(503, "scripted publish failure")
         return {"key": key, "stored": True}
 
     def post_result(self, job_id, worker, fence, result,
-                    exec_seconds=0.0, cache=None, cached=False):
+                    exec_seconds=0.0, cache=None):
         self.results_posted.append(job_id)
-        self.cached_flags = getattr(self, "cached_flags", []) + [cached]
+        self.caches_posted.append(cache)
         return {"id": job_id, "state": "done"}
 
     def post_failure(self, job_id, worker, fence, error,
@@ -135,69 +138,49 @@ class TestMaxJobsOdometer:
         assert worker.failed == 1
         assert client.lease_calls == 2
 
-    def test_cache_served_jobs_count_toward_cap(self, monkeypatch):
-        """A job served from the fleet cache never simulates but is
-        still one executed job for the cap."""
-        from repro.kernels import WORKLOAD_REGISTRY, run_workload
-        from repro.serve.jobs import JobSpec, result_blob, result_from_blob
 
-        spec = JobSpec.from_payload({"workload": "va"})
-        result = run_workload(WORKLOAD_REGISTRY["va"](), spec.to_config())
-        blob = result_blob(result)
+def _simulate_va(self, spec):
+    from repro.kernels import WORKLOAD_REGISTRY, run_workload
+    workload = WORKLOAD_REGISTRY[spec.workload]()
+    return run_workload(workload, spec.to_config()), 0.01
 
+
+class TestReferencePost:
+    def test_published_result_is_posted_by_digest(self, monkeypatch):
+        """The blob crosses the wire once, in the publish: the result
+        post names the stored entry by its buffer digest."""
         client = FakeClient([_grant(1)])
-        client.cache_fetch = lambda key, salt=None: blob
         worker = _worker(client, max_jobs=1)
-        monkeypatch.setattr(
-            ServeWorker, "_simulate",
-            lambda self, spec: (_ for _ in ()).throw(
-                AssertionError("must not simulate on a cache hit")))
+        monkeypatch.setattr(ServeWorker, "_simulate", _simulate_va)
         assert worker.run() == 0
-        assert worker.executed == 1
-        assert worker.cache_hits == 1
+        assert worker.published == 1
         assert worker.completed == 1
-        assert client.results_posted == ["j1"]
-        # The post carries the cache-serve marker, so the daemon books
-        # it under serve.jobs.cache_hits, not serve.jobs.executed.
-        assert client.cached_flags == [True]
-        # Sanity: the blob the fake served really is a full result.
-        assert (result_from_blob(blob).buffers_digest
-                == result.buffers_digest)
+        [cache] = client.caches_posted
+        assert set(cache) == {"digest"}
+        assert len(cache["digest"]) == 64
 
-    def test_no_cache_fetch_opt_out_always_simulates(self, monkeypatch):
-        """``--no-cache-fetch`` (fetch_cache=False): the worker never
-        probes the store, even when an entry exists."""
-        client = FakeClient([_grant(1)])
-
-        def unexpected_fetch(key, salt=None):
-            raise AssertionError("must not probe the cache when opted out")
-
-        client.cache_fetch = unexpected_fetch
-        worker = _worker(client, max_jobs=1, fetch_cache=False)
-        simulated = []
-
-        def simulate(self, spec):
-            simulated.append(spec.workload)
-            from repro.kernels import WORKLOAD_REGISTRY, run_workload
-            workload = WORKLOAD_REGISTRY[spec.workload]()
-            return run_workload(workload, spec.to_config()), 0.01
-
-        monkeypatch.setattr(ServeWorker, "_simulate", simulate)
+    def test_failed_publish_posts_the_blob(self, monkeypatch):
+        client = FakeClient([_grant(1)], publish_fails=True)
+        worker = _worker(client, max_jobs=1)
+        monkeypatch.setattr(ServeWorker, "_simulate", _simulate_va)
         assert worker.run() == 0
-        assert simulated == ["va"]
-        assert worker.cache_hits == 0
-        assert worker.completed == 1
+        assert worker.published == 0
+        [cache] = client.caches_posted
+        assert cache["data"] and cache["salt"]
 
 
 # -- satellite 2: result-post retry --------------------------------------
 
 
 class _FlakyHandler(http.server.BaseHTTPRequestHandler):
-    """Answers per the server's script; counts every arrival."""
+    """Answers per the server's script; counts and keeps every
+    arrival's JSON body."""
 
     def _serve(self):
         server = self.server
         server.hits += 1
+        length = int(self.headers.get("Content-Length") or 0)
+        server.bodies.append(json.loads(self.rfile.read(length) or "null"))
         status = server.script.pop(0) if server.script else "200"
         if status == "reset":
             self.connection.close()
@@ -225,6 +208,7 @@ def flaky():
                                              _FlakyHandler)
     server.script = []
     server.hits = 0
+    server.bodies = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
 
@@ -312,3 +296,42 @@ class TestResultPostRetry:
         assert 0 in RETRY_POST_STATUSES
         assert 409 not in RETRY_POST_STATUSES
         assert 412 not in RETRY_POST_STATUSES
+
+    def test_reference_miss_reposts_with_the_blob(self, flaky):
+        """404 on a reference post: the daemon's store lacks the entry,
+        so the worker reposts once with the blob it kept — not a
+        backoff retry."""
+        server, make_worker = flaky
+        server.script = ["404", "200"]
+        worker = make_worker()
+        blob = {"encoding": "pickle+base64", "salt": "s", "digest": "d",
+                "size": 3, "data": "AAAA"}
+        assert worker._post_result("j1", 1, PAYLOAD, 0.5, cache=blob,
+                                   published=True) is True
+        assert [body["cache"] for body in server.bodies] == [
+            {"digest": "d"}, blob]
+        assert worker.completed == 1
+        assert worker.sleeps == []
+
+    def test_reference_digest_mismatch_drops_without_repost(self, flaky):
+        """400 (the stored entry's digest disagrees with the payload)
+        is deterministic: no blob repost, no retry."""
+        server, make_worker = flaky
+        server.script = ["400", "200"]
+        worker = make_worker()
+        blob = {"encoding": "pickle+base64", "salt": "s", "digest": "d",
+                "size": 3, "data": "AAAA"}
+        assert worker._post_result("j1", 1, PAYLOAD, 0.5, cache=blob,
+                                   published=True) is False
+        assert server.hits == 1
+        assert worker.failed == 1
+        assert worker.sleeps == []
+
+    def test_unpublished_404_is_not_reposted(self, flaky):
+        """Without a reference there is nothing to swap in: a 404 (an
+        unknown job) loses the result at once."""
+        server, make_worker = flaky
+        server.script = ["404", "200"]
+        worker = make_worker()
+        assert worker._post_result("j1", 1, PAYLOAD, 0.5) is False
+        assert server.hits == 1
