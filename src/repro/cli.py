@@ -114,15 +114,6 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _kernel_frontend(name: str, factory) -> str:
-    """'dsl' for Python-authored kernels, 'asm' for hand-built programs."""
-    from .dsl.stress import parse_stress_name
-
-    if getattr(factory, "is_dsl", False) or parse_stress_name(name):
-        return "dsl"
-    return "asm"
-
-
 def _cmd_kernels(args) -> int:
     from .isa.asm import program_to_text
 
@@ -137,7 +128,7 @@ def _cmd_kernels(args) -> int:
         program = workload.program
         info: Dict[str, Any] = {
             "name": workload.name,
-            "frontend": _kernel_frontend(args.name, factory),
+            "frontend": workload.frontend,
             "class": workload.category,
             "simd_width": program.simd_width,
             "instructions": len(program.instructions),
@@ -172,7 +163,7 @@ def _cmd_kernels(args) -> int:
     records = []
     for name, factory in sorted(WORKLOAD_REGISTRY.items()):
         workload = factory()
-        frontend = _kernel_frontend(name, factory)
+        frontend = workload.frontend
         count = len(workload.program.instructions)
         rows.append([name, frontend, workload.category,
                      workload.program.simd_width, count,

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import dsl
 from ..isa.builder import KernelBuilder
 from ..isa.types import CmpOp, DType
-from .workload import LaunchStep, Workload
+from .workload import LaunchStep, Workload, uniform
 
 _INV_SQRT_2PI = 0.3989422804014327
 
@@ -129,57 +130,29 @@ def black_scholes(n: int = 2048, simd_width: int = 16) -> Workload:
 
 def binomial_option(n: int = 512, depth: int = 16, simd_width: int = 16) -> Workload:
     """BOP: binomial lattice backward induction; coherent fixed loop."""
-    b = KernelBuilder("bop", simd_width)
-    gid = b.global_id()
-    sS, sC = b.surface_arg("S"), b.surface_arg("price")
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    S = b.vreg(DType.F32)
-    b.load(S, addr, sS)
-    # Simplified CRR lattice with fixed up/down factors; each work-item
-    # walks its own `depth`-step induction entirely in registers.
-    value = b.vreg(DType.F32)
-    b.mov(value, 0.0)
-    level = b.vreg(DType.I32)
-    b.mov(level, 0)
     up = 1.05
     prob = 0.55
-    growth = b.vreg(DType.F32)
-    b.mov(growth, S)
-    b.do_()
-    # value = prob * value*up + (1-prob) * growth
-    scaled = b.vreg(DType.F32)
-    b.mul(scaled, value, up)
-    b.mul(scaled, scaled, prob)
-    b.mad(value, growth, 1.0 - prob, scaled)
-    b.mul(growth, growth, 1.0 / up)
-    b.add(level, level, 1)
-    f = b.cmp(CmpOp.LT, level, depth)
-    b.while_(f)
-    b.store(value, addr, sC)
-    program = b.finish()
 
-    rng = np.random.default_rng(11)
-    S = rng.uniform(10, 100, n).astype(np.float32)
-    price = np.zeros(n, dtype=np.float32)
+    @dsl.kernel(n=n, simd_width=simd_width, seed=11, name="bop",
+                category="coherent",
+                description="binomial option pricing lattice")
+    def bop(k, S=dsl.In(init=uniform(10, 100)), price=dsl.Out()):
+        s = k.var(S[k.gid])
+        # Simplified CRR lattice with fixed up/down factors; each
+        # work-item walks its own `depth`-step induction in registers.
+        value = k.var(0.0, "f32")
+        level = k.var(0, "i32")
+        growth = k.var(s)
+        with k.while_(level < depth):
+            # value = prob * value*up + (1-prob) * growth
+            scaled = k.var(value * up)
+            scaled.set(scaled * prob)
+            value.set(growth * (1.0 - prob) + scaled)
+            growth.set(growth * (1.0 / up))
+            level.set(level + 1)
+        price[k.gid] = value
 
-    def check(buffers):
-        value = np.zeros(n, dtype=np.float64)
-        growth = S.astype(np.float64).copy()
-        for _ in range(depth):
-            value = 0.55 * value * 1.05 + 0.45 * growth
-            growth = growth / 1.05
-        np.testing.assert_allclose(buffers["price"], value, rtol=1e-3)
-
-    return Workload(
-        name="bop",
-        program=program,
-        buffers={"S": S, "price": price},
-        steps=[LaunchStep(global_size=n)],
-        check=check,
-        category="coherent",
-        description="binomial option pricing lattice",
-    )
+    return bop()
 
 
 def monte_carlo_asian(n: int = 1024, max_steps: int = 24, simd_width: int = 16) -> Workload:
@@ -189,90 +162,35 @@ def monte_carlo_asian(n: int = 1024, max_steps: int = 24, simd_width: int = 16) 
     loop when it crosses the knock-out barrier, leaving a dwindling
     active mask — a classic divergent workload.
     """
-    b = KernelBuilder("mca", simd_width)
-    gid = b.global_id()
-    sS, sO = b.surface_arg("S"), b.surface_arg("payoff")
-    barrier_level = b.scalar_arg("barrier", DType.F32)
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    S = b.vreg(DType.F32)
-    b.load(S, addr, sS)
-    price = b.vreg(DType.F32)
-    b.mov(price, S)
-    total = b.vreg(DType.F32)
-    b.mov(total, 0.0)
-    step = b.vreg(DType.I32)
-    b.mov(step, 0)
-    # xorshift-style per-lane RNG state seeded from gid
-    state = b.vreg(DType.I32)
-    b.mad(state, gid, 2654435761 & 0x7FFFFFFF, 12345)
-    b.do_()
-    # advance RNG: state = state*1664525 + 1013904223 (LCG, low bits)
-    b.mul(state, state, 1664525)
-    b.add(state, state, 1013904223)
-    noise = b.vreg(DType.I32)
-    b.shr(noise, state, 16)
-    b.and_(noise, noise, 0xFF)
-    fnoise = b.vreg(DType.F32)
-    b.cvt(fnoise, noise)
-    # shock in [0.96, 1.0425]: price *= 0.96 + noise/255 * 0.0825
-    b.mad(fnoise, fnoise, 0.0825 / 255.0, 0.96)
-    b.mul(price, price, fnoise)
-    b.add(total, total, price)
-    b.add(step, step, 1)
-    # knock-out: lanes whose price crossed the barrier exit early
-    fout = b.cmp(CmpOp.GT, price, barrier_level)
-    b.break_(fout)
-    fcont = b.cmp(CmpOp.LT, step, max_steps)
-    b.while_(fcont)
-    avg = b.vreg(DType.F32)
-    stepf = b.vreg(DType.F32)
-    b.cvt(stepf, step)
-    b.max_(stepf, stepf, 1.0)
-    b.div(avg, total, stepf)
-    b.store(avg, addr, sO)
-    program = b.finish()
 
-    rng = np.random.default_rng(12)
-    S = rng.uniform(50, 95, n).astype(np.float32)
-    payoff = np.zeros(n, dtype=np.float32)
-    barrier_value = 100.0
+    @dsl.kernel(n=n, simd_width=simd_width, seed=12, name="mca",
+                category="divergent",
+                description="Monte Carlo barrier-option paths with early "
+                            "lane exit")
+    def mca(k, S=dsl.In(init=uniform(50, 95)), payoff=dsl.Out(),
+            barrier=dsl.Scalar(default=100.0)):
+        s = k.var(S[k.gid])
+        price = k.var(s)
+        total = k.var(0.0, "f32")
+        step = k.var(0, "i32")
+        # xorshift-style per-lane RNG state seeded from gid
+        state = k.var(k.gid * (2654435761 & 0x7FFFFFFF) + 12345)
+        with k.while_(step < max_steps):
+            # advance RNG: state = state*1664525 + 1013904223 (LCG)
+            state.set(state * 1664525)
+            state.set(state + 1013904223)
+            noise = k.var(state >> 16)
+            noise.set(noise & 0xFF)
+            # shock in [0.96, 1.0425]: price *= 0.96 + noise/255 * 0.0825
+            shock = k.var(dsl.cast(noise, "f32"))
+            shock.set(shock * (0.0825 / 255.0) + 0.96)
+            price.set(price * shock)
+            total.set(total + price)
+            step.set(step + 1)
+            # knock-out: lanes whose price crossed the barrier exit early
+            k.break_if(price > barrier)
+        steps = k.var(dsl.cast(step, "f32"))
+        steps.set(dsl.maximum(steps, 1.0))
+        payoff[k.gid] = total / steps
 
-    def check(buffers):
-        ref = _mca_reference(S, barrier_value, max_steps, n)
-        np.testing.assert_allclose(buffers["payoff"], ref, rtol=1e-3, atol=1e-3)
-
-    return Workload(
-        name="mca",
-        program=program,
-        buffers={"S": S, "payoff": payoff},
-        steps=[LaunchStep(global_size=n, scalars={"barrier": barrier_value})],
-        check=check,
-        category="divergent",
-        description="Monte Carlo barrier-option paths with early lane exit",
-    )
-
-
-def _mca_reference(S: np.ndarray, barrier: float, max_steps: int, n: int) -> np.ndarray:
-    """Host reference for :func:`monte_carlo_asian` (same LCG stream)."""
-    gid = np.arange(n, dtype=np.int64)
-    state = (gid * (2654435761 & 0x7FFFFFFF) + 12345) & 0xFFFFFFFF
-    state = np.where(state >= 2**31, state - 2**32, state)  # int32 wrap
-    price = S.astype(np.float32).copy()
-    total = np.zeros(n, dtype=np.float32)
-    steps = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    for _ in range(max_steps):
-        if not alive.any():
-            break
-        state[alive] = (state[alive] * 1664525 + 1013904223) & 0xFFFFFFFF
-        state = np.where(state >= 2**31, state - 2**32, state)  # int32 wrap
-        noise = (state >> 16) & 0xFF
-        shock = (noise.astype(np.float32) * np.float32(0.0825 / 255.0)
-                 + np.float32(0.96))
-        price[alive] = price[alive] * shock[alive]
-        total[alive] += price[alive]
-        steps[alive] += 1
-        crossed = alive & (price > barrier)
-        alive &= ~crossed
-    return total / np.maximum(steps, 1).astype(np.float32)
+    return mca()

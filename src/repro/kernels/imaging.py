@@ -10,210 +10,110 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import dsl
 from ..isa.builder import KernelBuilder
 from ..isa.registers import FlagRef
 from ..isa.types import CmpOp, DType
-from .workload import LaunchStep, Workload
+from .workload import LaunchStep, Workload, given, grid_coords, uniform
+
+
+def _all_of(k, *conds):
+    """An i32 variable: 1 where every condition holds, else 0.
+
+    One SEL per condition ANDed together (no short circuit), so the
+    conjunction never diverges.
+    """
+    one = dsl.Const(1, "i32")
+    acc = k.var(dsl.select(conds[0], one, 0))
+    term = k.var(dsl.select(conds[1], one, 0))
+    acc.set(acc & term)
+    for cond in conds[2:]:
+        term.set(dsl.select(cond, one, 0))
+        acc.set(acc & term)
+    return acc
 
 
 def box_filter(dim: int = 48, simd_width: int = 16, seed: int = 40) -> Workload:
     """BF: 3x3 mean filter; interior-coherent, border-divergent."""
-    b = KernelBuilder("boxfilter", simd_width)
-    gid = b.global_id()
-    si, so = b.surface_arg("inp"), b.surface_arg("out")
-    n = b.scalar_arg("dim", DType.I32)
-    row = b.vreg(DType.I32)
-    col = b.vreg(DType.I32)
-    tmp = b.vreg(DType.I32)
-    b.div(row, gid, n)
-    b.mul(tmp, row, n)
-    b.sub(col, gid, tmp)
-    last = b.vreg(DType.I32)
-    b.sub(last, n, 1)
 
-    acc = b.vreg(DType.F32)
-    b.mov(acc, 0.0)
-    cnt = b.vreg(DType.F32)
-    b.mov(cnt, 0.0)
-    val = b.vreg(DType.F32)
-    naddr = b.vreg(DType.I32)
-    nrow = b.vreg(DType.I32)
-    ncol = b.vreg(DType.I32)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            b.add(nrow, row, dr)
-            b.add(ncol, col, dc)
-            f_r0 = b.cmp(CmpOp.GE, nrow, 0)
-            in_r = b.vreg(DType.I32)
-            b.sel(in_r, f_r0, 1, 0)
-            f_r1 = b.cmp(CmpOp.LE, nrow, last)
-            in_b = b.vreg(DType.I32)
-            b.sel(in_b, f_r1, 1, 0)
-            b.and_(in_r, in_r, in_b)
-            f_c0 = b.cmp(CmpOp.GE, ncol, 0)
-            b.sel(in_b, f_c0, 1, 0)
-            b.and_(in_r, in_r, in_b)
-            f_c1 = b.cmp(CmpOp.LE, ncol, last)
-            b.sel(in_b, f_c1, 1, 0)
-            b.and_(in_r, in_r, in_b)
-            f_in = b.cmp(CmpOp.NE, in_r, 0)
-            with b.if_(f_in):
-                b.mad(naddr, nrow, n, ncol)
-                b.shl(naddr, naddr, 2)
-                b.load(val, naddr, si)
-                b.add(acc, acc, val)
-                b.add(cnt, cnt, 1.0)
-    b.div(acc, acc, cnt)
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    b.store(acc, addr, so)
-    program = b.finish()
-
-    rng = np.random.default_rng(seed)
-    img = rng.uniform(0, 255, (dim, dim)).astype(np.float32)
-    out = np.zeros((dim, dim), dtype=np.float32)
-
-    def check(buffers):
-        expected = np.zeros((dim, dim), dtype=np.float64)
-        counts = np.zeros((dim, dim), dtype=np.float64)
+    @dsl.kernel(n=dim * dim, simd_width=simd_width, seed=seed,
+                name="boxfilter", category="coherent",
+                description="3x3 box filter with border handling")
+    def boxfilter(k, inp=dsl.In(init=uniform(0, 255)), out=dsl.Out(),
+                  dim=dsl.Scalar("i32", default=dim)):
+        row, col = grid_coords(k, dim)
+        last = k.var(dim - 1)
+        acc = k.var(0.0, "f32")
+        cnt = k.var(0.0, "f32")
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
-                src = np.zeros((dim, dim))
-                r0, r1 = max(0, -dr), dim - max(0, dr)
-                c0, c1 = max(0, -dc), dim - max(0, dc)
-                src[r0:r1, c0:c1] = img[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
-                valid = np.zeros((dim, dim))
-                valid[r0:r1, c0:c1] = 1
-                expected += src
-                counts += valid
-        np.testing.assert_allclose(
-            buffers["out"].reshape(dim, dim), expected / counts, rtol=1e-4
-        )
+                nrow = k.var(row + dr)
+                ncol = k.var(col + dc)
+                inside = _all_of(k, nrow >= 0, nrow <= last, ncol >= 0,
+                                 ncol <= last)
+                with k.if_(inside != 0):
+                    acc.set(acc + inp[nrow * dim + ncol])
+                    cnt.set(cnt + 1.0)
+        acc.set(acc / cnt)
+        out[k.gid] = acc
 
-    return Workload(
-        name="boxfilter",
-        program=program,
-        buffers={"inp": img.reshape(-1), "out": out.reshape(-1)},
-        steps=[LaunchStep(global_size=dim * dim, scalars={"dim": dim})],
-        check=check,
-        category="coherent",
-        description="3x3 box filter with border handling",
-    )
+    return boxfilter()
 
 
 def sobel(dim: int = 48, threshold: float = 120.0, simd_width: int = 16,
           seed: int = 41) -> Workload:
     """SblFr: Sobel gradient with an edge-threshold branch (divergent)."""
-    b = KernelBuilder("sobel", simd_width)
-    gid = b.global_id()
-    si, so = b.surface_arg("inp"), b.surface_arg("out")
-    n = b.scalar_arg("dim", DType.I32)
-    thr = b.scalar_arg("threshold", DType.F32)
-    row = b.vreg(DType.I32)
-    col = b.vreg(DType.I32)
-    tmp = b.vreg(DType.I32)
-    b.div(row, gid, n)
-    b.mul(tmp, row, n)
-    b.sub(col, gid, tmp)
-    last = b.vreg(DType.I32)
-    b.sub(last, n, 1)
-
-    out_val = b.vreg(DType.F32)
-    b.mov(out_val, 0.0)
-    # Interior pixels only; borders stay zero (divergent guard).
-    f1 = b.cmp(CmpOp.GT, row, 0)
-    g1 = b.vreg(DType.I32)
-    b.sel(g1, f1, 1, 0)
-    f2 = b.cmp(CmpOp.LT, row, last)
-    g2 = b.vreg(DType.I32)
-    b.sel(g2, f2, 1, 0)
-    b.and_(g1, g1, g2)
-    f3 = b.cmp(CmpOp.GT, col, 0)
-    b.sel(g2, f3, 1, 0)
-    b.and_(g1, g1, g2)
-    f4 = b.cmp(CmpOp.LT, col, last)
-    b.sel(g2, f4, 1, 0)
-    b.and_(g1, g1, g2)
-    interior = b.cmp(CmpOp.NE, g1, 0)
-    with b.if_(interior):
-        gx = b.vreg(DType.F32)
-        gy = b.vreg(DType.F32)
-        b.mov(gx, 0.0)
-        b.mov(gy, 0.0)
-        val = b.vreg(DType.F32)
-        naddr = b.vreg(DType.I32)
-        kx = {(-1, -1): -1, (-1, 1): 1, (0, -1): -2, (0, 1): 2, (1, -1): -1, (1, 1): 1}
-        ky = {(-1, -1): -1, (-1, 0): -2, (-1, 1): -1, (1, -1): 1, (1, 0): 2, (1, 1): 1}
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                wx = kx.get((dr, dc), 0)
-                wy = ky.get((dr, dc), 0)
-                if wx == 0 and wy == 0:
-                    continue
-                b.add(naddr, row, dr)
-                b.mul(naddr, naddr, n)
-                b.add(naddr, naddr, col)
-                b.add(naddr, naddr, dc)
-                b.shl(naddr, naddr, 2)
-                b.load(val, naddr, si)
-                if wx:
-                    b.mad(gx, val, float(wx), gx)
-                if wy:
-                    b.mad(gy, val, float(wy), gy)
-        mag = b.vreg(DType.F32)
-        b.mul(mag, gx, gx)
-        b.mad(mag, gy, gy, mag)
-        b.sqrt(mag, mag)
-        # Edge pixels get an expensive tone-map; flat pixels a cheap copy.
-        f_edge = b.cmp(CmpOp.GT, mag, thr)
-        with b.if_(f_edge):
-            b.mul(out_val, mag, 1.0 / 1445.0)
-            b.log(out_val, out_val)
-            b.mad(out_val, out_val, 0.1, 1.0)
-            b.max_(out_val, out_val, 0.0)
-            b.else_()
-            b.mul(out_val, mag, 1.0 / 1445.0)
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    b.store(out_val, addr, so)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
     img = (rng.uniform(0, 64, (dim, dim))
            + 128 * (rng.random((dim, dim)) < 0.2)).astype(np.float32)
-    out = np.zeros((dim, dim), dtype=np.float32)
+    kx = {(-1, -1): -1, (-1, 1): 1, (0, -1): -2, (0, 1): 2, (1, -1): -1,
+          (1, 1): 1}
+    ky = {(-1, -1): -1, (-1, 0): -2, (-1, 1): -1, (1, -1): 1, (1, 0): 2,
+          (1, 1): 1}
 
-    def check(buffers):
-        f32 = np.float32
-        gx = np.zeros((dim, dim), dtype=np.float32)
-        gy = np.zeros((dim, dim), dtype=np.float32)
-        kx = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float32)
-        ky = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float32)
-        for dr in range(3):
-            for dc in range(3):
-                gx[1:-1, 1:-1] += kx[dr, dc] * img[dr:dim - 2 + dr, dc:dim - 2 + dc]
-                gy[1:-1, 1:-1] += ky[dr, dc] * img[dr:dim - 2 + dr, dc:dim - 2 + dc]
-        mag = np.sqrt(gx * gx + gy * gy).astype(np.float32)
-        scaled = mag * f32(1.0 / 1445.0)
-        with np.errstate(divide="ignore"):
-            toned = np.maximum(np.log(scaled) * f32(0.1) + f32(1.0), f32(0.0))
-        expected = np.where(mag > threshold, toned, scaled).astype(np.float32)
-        expected[0, :] = expected[-1, :] = 0.0
-        expected[:, 0] = expected[:, -1] = 0.0
-        np.testing.assert_allclose(
-            buffers["out"].reshape(dim, dim), expected, rtol=1e-3, atol=1e-5
-        )
+    @dsl.kernel(n=dim * dim, simd_width=simd_width, seed=seed, name="sobel",
+                category="divergent",
+                description="Sobel filter with edge-threshold divergence")
+    def sobel_(k, inp=dsl.In(init=given(img.reshape(-1))), out=dsl.Out(),
+               dim=dsl.Scalar("i32", default=dim),
+               threshold=dsl.Scalar(default=threshold)):
+        row, col = grid_coords(k, dim)
+        last = k.var(dim - 1)
+        out_val = k.var(0.0, "f32")
+        # Interior pixels only; borders stay zero (divergent guard).
+        interior = _all_of(k, row > 0, row < last, col > 0, col < last)
+        with k.if_(interior != 0):
+            gx = k.var(0.0, "f32")
+            gy = k.var(0.0, "f32")
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    wx = kx.get((dr, dc), 0)
+                    wy = ky.get((dr, dc), 0)
+                    if wx == 0 and wy == 0:
+                        continue
+                    naddr = k.var(row + dr)
+                    naddr.set(naddr * dim)
+                    naddr.set(naddr + col)
+                    naddr.set(naddr + dc)
+                    val = k.var(inp[naddr])
+                    if wx:
+                        gx.set(val * float(wx) + gx)
+                    if wy:
+                        gy.set(val * float(wy) + gy)
+            mag = k.var(gx * gx)
+            mag.set(gy * gy + mag)
+            mag.set(dsl.sqrt(mag))
+            # Edge pixels get an expensive tone-map; flat pixels a copy.
+            with k.if_(mag > threshold):
+                out_val.set(mag * (1.0 / 1445.0))
+                out_val.set(dsl.log(out_val))
+                out_val.set(out_val * 0.1 + 1.0)
+                out_val.set(dsl.maximum(out_val, 0.0))
+                k.else_()
+                out_val.set(mag * (1.0 / 1445.0))
+        out[k.gid] = out_val
 
-    return Workload(
-        name="sobel",
-        program=program,
-        buffers={"inp": img.reshape(-1), "out": out.reshape(-1)},
-        steps=[LaunchStep(global_size=dim * dim,
-                          scalars={"dim": dim, "threshold": threshold})],
-        check=check,
-        category="divergent",
-        description="Sobel filter with edge-threshold divergence",
-    )
+    return sobel_()
 
 
 def gaussian_noise(n: int = 1024, simd_width: int = 16, seed: int = 42,

@@ -10,75 +10,46 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import dsl
 from ..isa.builder import KernelBuilder
-from ..isa.registers import FlagRef
 from ..isa.types import CmpOp, DType
-from .workload import LaunchStep, Workload
+from .workload import LaunchStep, Workload, given
 
 
 def binary_search(num_keys: int = 1024, table_size: int = 1024,
                   simd_width: int = 16, seed: int = 80) -> Workload:
     """Bsearch: branchy lo/hi bisection over a sorted table."""
     steps_needed = int(np.ceil(np.log2(table_size))) + 1
-    b = KernelBuilder("bsearch", simd_width)
-    gid = b.global_id()
-    s_table = b.surface_arg("table")
-    s_keys = b.surface_arg("keys")
-    s_out = b.surface_arg("found")
-    n = b.scalar_arg("n", DType.I32)
-
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    key = b.vreg(DType.F32)
-    b.load(key, addr, s_keys)
-    lo = b.vreg(DType.I32)
-    hi = b.vreg(DType.I32)
-    b.mov(lo, 0)
-    b.mov(hi, n)
-    mid = b.vreg(DType.I32)
-    maddr = b.vreg(DType.I32)
-    mval = b.vreg(DType.F32)
-    it = b.vreg(DType.I32)
-    b.mov(it, 0)
-    nmax = b.vreg(DType.I32)
-    b.sub(nmax, n, 1)
-    b.do_()
-    b.add(mid, lo, hi)
-    b.shr(mid, mid, 1)
-    # Clamp the probe: once lo == hi == n (key above the whole table)
-    # the extra fixed-trip iterations re-read the last entry harmlessly.
-    b.min_(mid, mid, nmax)
-    b.shl(maddr, mid, 2)
-    b.load(mval, maddr, s_table)
-    below = b.cmp(CmpOp.LT, mval, key)
-    with b.if_(below):
-        b.add(lo, mid, 1)
-        b.else_()
-        b.mov(hi, mid)
-    b.add(it, it, 1)
-    more = b.cmp(CmpOp.LT, it, steps_needed, flag=FlagRef(1))
-    b.while_(more)
-    b.store(lo, addr, s_out)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
     table = np.sort(rng.uniform(0, 1000, table_size)).astype(np.float32)
     keys = rng.uniform(-10, 1010, num_keys).astype(np.float32)
-    found = np.zeros(num_keys, dtype=np.int32)
 
-    def check(buffers):
-        expected = np.searchsorted(table, keys, side="left").astype(np.int32)
-        np.testing.assert_array_equal(buffers["found"], expected)
+    @dsl.kernel(n=num_keys, simd_width=simd_width, seed=seed, name="bsearch",
+                category="divergent",
+                description="binary search with branchy bisection")
+    def bsearch(k, table=dsl.In(size=table_size, init=given(table)),
+                keys=dsl.In(init=given(keys)), found=dsl.Out("i32"),
+                n=dsl.Scalar("i32", default=table_size)):
+        key = k.var(keys[k.gid])
+        lo = k.var(0, "i32")
+        hi = k.var(n)
+        it = k.var(0, "i32")
+        nmax = k.var(n - 1)
+        with k.while_(it < steps_needed):
+            mid = k.var(lo + hi)
+            mid.set(mid >> 1)
+            # Clamp the probe: once lo == hi == n (key above the whole
+            # table) the extra fixed-trip iterations re-read the last
+            # entry harmlessly.
+            mid.set(dsl.minimum(mid, nmax))
+            with k.if_(table[mid] < key):
+                lo.set(mid + 1)
+                k.else_()
+                hi.set(mid)
+            it.set(it + 1)
+        found[k.gid] = lo
 
-    return Workload(
-        name="bsearch",
-        program=program,
-        buffers={"table": table, "keys": keys, "found": found},
-        steps=[LaunchStep(global_size=num_keys, scalars={"n": table_size})],
-        check=check,
-        category="divergent",
-        description="binary search with branchy bisection",
-    )
+    return bsearch()
 
 
 def backprop_layer(neurons: int = 256, inputs: int = 24,

@@ -8,244 +8,94 @@ coherent applications.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..isa.builder import KernelBuilder
-from ..isa.types import CmpOp, DType
-from .workload import LaunchStep, Workload
+from .. import dsl
+from .workload import Workload, grid_coords, normal
 
 
 def vector_add(n: int = 4096, simd_width: int = 16) -> Workload:
     """VA: c[i] = a[i] + b[i]."""
-    b = KernelBuilder("va", simd_width)
-    gid = b.global_id()
-    sa, sb, sc = b.surface_arg("a"), b.surface_arg("b"), b.surface_arg("c")
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    x = b.vreg(DType.F32)
-    y = b.vreg(DType.F32)
-    b.load(x, addr, sa)
-    b.load(y, addr, sb)
-    b.add(x, x, y)
-    b.store(x, addr, sc)
-    program = b.finish()
 
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal(n).astype(np.float32)
-    bb = rng.standard_normal(n).astype(np.float32)
-    c = np.zeros(n, dtype=np.float32)
+    @dsl.kernel(n=n, simd_width=simd_width, seed=1, name="va",
+                category="coherent",
+                description="vector addition (linear algebra)")
+    def va(k, a=dsl.In(init=normal), b=dsl.In(init=normal), c=dsl.Out()):
+        c[k.gid] = a[k.gid] + b[k.gid]
 
-    def check(buffers):
-        np.testing.assert_allclose(buffers["c"], a + bb, rtol=1e-6)
-
-    return Workload(
-        name="va",
-        program=program,
-        buffers={"a": a, "b": bb, "c": c},
-        steps=[LaunchStep(global_size=n)],
-        check=check,
-        category="coherent",
-        description="vector addition (linear algebra)",
-    )
+    return va()
 
 
 def dot_product(n: int = 4096, simd_width: int = 16) -> Workload:
     """DP: partial dot products, one strided accumulation per work-item."""
-    stride = 4  # each work-item accumulates `stride` strided elements
-    b = KernelBuilder("dp", simd_width)
-    gid = b.global_id()
-    sa, sb, sp = b.surface_arg("a"), b.surface_arg("b"), b.surface_arg("partial")
-    nitems = b.scalar_arg("n", DType.I32)
-    acc = b.vreg(DType.F32)
-    b.mov(acc, 0.0)
-    idx = b.vreg(DType.I32)
-    b.mov(idx, gid)
-    addr = b.vreg(DType.I32)
-    x = b.vreg(DType.F32)
-    y = b.vreg(DType.F32)
-    b.do_()
-    b.shl(addr, idx, 2)
-    b.load(x, addr, sa)
-    b.load(y, addr, sb)
-    b.mad(acc, x, y, acc)
-    b.add(idx, idx, n // stride)
-    f = b.cmp(CmpOp.LT, idx, nitems)
-    b.while_(f)
-    out_addr = b.vreg(DType.I32)
-    b.shl(out_addr, gid, 2)
-    b.store(acc, out_addr, sp)
-    program = b.finish()
+    stride = n // 4  # each work-item accumulates 4 strided elements
 
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal(n).astype(np.float32)
-    bb = rng.standard_normal(n).astype(np.float32)
-    partial = np.zeros(n // stride, dtype=np.float32)
+    @dsl.kernel(n=n // 4, simd_width=simd_width, seed=2, name="dp",
+                category="coherent",
+                description="dot product with strided per-lane accumulation")
+    def dp(k, a=dsl.In(size=n, init=normal), b=dsl.In(size=n, init=normal),
+           partial=dsl.Out(), n=dsl.Scalar("i32", default=n)):
+        acc = k.var(0.0, "f32")
+        idx = k.var(k.gid)
+        with k.while_(idx < n):
+            acc.set(a[idx] * b[idx] + acc)
+            idx.set(idx + stride)
+        partial[k.gid] = acc
 
-    def check(buffers):
-        total = float(buffers["partial"].sum())
-        np.testing.assert_allclose(total, float(np.dot(a, bb)), rtol=1e-3)
-
-    return Workload(
-        name="dp",
-        program=program,
-        buffers={"a": a, "b": bb, "partial": partial},
-        steps=[LaunchStep(global_size=n // stride, scalars={"n": n})],
-        check=check,
-        category="coherent",
-        description="dot product with strided per-lane accumulation",
-    )
+    return dp()
 
 
 def matrix_vector(rows: int = 256, cols: int = 64, simd_width: int = 16) -> Workload:
     """MVM: y = A @ x, one row per work-item."""
-    b = KernelBuilder("mvm", simd_width)
-    gid = b.global_id()
-    sa, sx, sy = b.surface_arg("A"), b.surface_arg("x"), b.surface_arg("y")
-    ncols = b.scalar_arg("cols", DType.I32)
-    acc = b.vreg(DType.F32)
-    b.mov(acc, 0.0)
-    col = b.vreg(DType.I32)
-    b.mov(col, 0)
-    row_base = b.vreg(DType.I32)
-    b.mul(row_base, gid, cols)
-    a_addr = b.vreg(DType.I32)
-    x_addr = b.vreg(DType.I32)
-    a_val = b.vreg(DType.F32)
-    x_val = b.vreg(DType.F32)
-    tmp = b.vreg(DType.I32)
-    b.do_()
-    b.add(tmp, row_base, col)
-    b.shl(a_addr, tmp, 2)
-    b.load(a_val, a_addr, sa)
-    b.shl(x_addr, col, 2)
-    b.load(x_val, x_addr, sx)
-    b.mad(acc, a_val, x_val, acc)
-    b.add(col, col, 1)
-    f = b.cmp(CmpOp.LT, col, ncols)
-    b.while_(f)
-    y_addr = b.vreg(DType.I32)
-    b.shl(y_addr, gid, 2)
-    b.store(acc, y_addr, sy)
-    program = b.finish()
+    row_len = cols
 
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((rows, cols)).astype(np.float32)
-    x = rng.standard_normal(cols).astype(np.float32)
-    y = np.zeros(rows, dtype=np.float32)
+    @dsl.kernel(n=rows, simd_width=simd_width, seed=3, name="mvm",
+                category="coherent",
+                description="matrix-vector multiplication, one row per "
+                            "work-item")
+    def mvm(k, A=dsl.In(size=rows * cols, init=normal),
+            x=dsl.In(size=cols, init=normal), y=dsl.Out(),
+            cols=dsl.Scalar("i32", default=cols)):
+        acc = k.var(0.0, "f32")
+        col = k.var(0, "i32")
+        row_base = k.var(k.gid * row_len)
+        with k.while_(col < cols):
+            acc.set(A[row_base + col] * x[col] + acc)
+            col.set(col + 1)
+        y[k.gid] = acc
 
-    def check(buffers):
-        np.testing.assert_allclose(
-            buffers["y"], a @ x, rtol=1e-3, atol=1e-3
-        )
-
-    return Workload(
-        name="mvm",
-        program=program,
-        buffers={"A": a.reshape(-1), "x": x, "y": y},
-        steps=[LaunchStep(global_size=rows, scalars={"cols": cols})],
-        check=check,
-        category="coherent",
-        description="matrix-vector multiplication, one row per work-item",
-    )
+    return mvm()
 
 
 def transpose(dim: int = 64, simd_width: int = 16) -> Workload:
     """Trans-N: out[j, i] = in[i, j] (gathered reads, coherent control)."""
-    b = KernelBuilder("transpose", simd_width)
-    gid = b.global_id()
-    si, so = b.surface_arg("inp"), b.surface_arg("out")
-    n = b.scalar_arg("dim", DType.I32)
-    row = b.vreg(DType.I32)
-    col = b.vreg(DType.I32)
-    b.div(row, gid, n)
-    tmp = b.vreg(DType.I32)
-    b.mul(tmp, row, n)
-    b.sub(col, gid, tmp)
-    src_addr = b.vreg(DType.I32)
-    b.shl(src_addr, gid, 2)
-    val = b.vreg(DType.F32)
-    b.load(val, src_addr, si)
-    dst_idx = b.vreg(DType.I32)
-    b.mad(dst_idx, col, n, row)
-    dst_addr = b.vreg(DType.I32)
-    b.shl(dst_addr, dst_idx, 2)
-    b.store(val, dst_addr, so)
-    program = b.finish()
 
-    rng = np.random.default_rng(4)
-    inp = rng.standard_normal((dim, dim)).astype(np.float32)
-    out = np.zeros((dim, dim), dtype=np.float32)
+    @dsl.kernel(n=dim * dim, simd_width=simd_width, seed=4, name="transpose",
+                category="coherent",
+                description="matrix transpose (memory-divergent writes, "
+                            "coherent control)")
+    def transpose_(k, inp=dsl.In(init=normal), out=dsl.Out(),
+                   dim=dsl.Scalar("i32", default=dim)):
+        row, col = grid_coords(k, dim)
+        val = k.var(inp[k.gid])
+        out[col * dim + row] = val
 
-    def check(buffers):
-        np.testing.assert_array_equal(
-            buffers["out"].reshape(dim, dim), inp.T
-        )
-
-    return Workload(
-        name="transpose",
-        program=program,
-        buffers={"inp": inp.reshape(-1), "out": out.reshape(-1)},
-        steps=[LaunchStep(global_size=dim * dim, scalars={"dim": dim})],
-        check=check,
-        category="coherent",
-        description="matrix transpose (memory-divergent writes, coherent control)",
-    )
+    return transpose_()
 
 
 def matrix_multiply(dim: int = 32, simd_width: int = 16) -> Workload:
     """MM: C = A @ B, one output element per work-item."""
-    b = KernelBuilder("mm", simd_width)
-    gid = b.global_id()
-    sa, sb, sc = b.surface_arg("A"), b.surface_arg("B"), b.surface_arg("C")
-    n = b.scalar_arg("dim", DType.I32)
-    row = b.vreg(DType.I32)
-    col = b.vreg(DType.I32)
-    b.div(row, gid, n)
-    tmp = b.vreg(DType.I32)
-    b.mul(tmp, row, n)
-    b.sub(col, gid, tmp)
-    acc = b.vreg(DType.F32)
-    b.mov(acc, 0.0)
-    k = b.vreg(DType.I32)
-    b.mov(k, 0)
-    a_idx = b.vreg(DType.I32)
-    b_idx = b.vreg(DType.I32)
-    a_addr = b.vreg(DType.I32)
-    b_addr = b.vreg(DType.I32)
-    a_val = b.vreg(DType.F32)
-    b_val = b.vreg(DType.F32)
-    b.do_()
-    b.mad(a_idx, row, n, k)
-    b.shl(a_addr, a_idx, 2)
-    b.load(a_val, a_addr, sa)
-    b.mad(b_idx, k, n, col)
-    b.shl(b_addr, b_idx, 2)
-    b.load(b_val, b_addr, sb)
-    b.mad(acc, a_val, b_val, acc)
-    b.add(k, k, 1)
-    f = b.cmp(CmpOp.LT, k, n)
-    b.while_(f)
-    c_addr = b.vreg(DType.I32)
-    b.shl(c_addr, gid, 2)
-    b.store(acc, c_addr, sc)
-    program = b.finish()
 
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((dim, dim)).astype(np.float32)
-    bm = rng.standard_normal((dim, dim)).astype(np.float32)
-    c = np.zeros((dim, dim), dtype=np.float32)
+    @dsl.kernel(n=dim * dim, simd_width=simd_width, seed=5, name="mm",
+                category="coherent",
+                description="dense matrix multiplication, one element per "
+                            "work-item")
+    def mm(k, A=dsl.In(init=normal), B=dsl.In(init=normal), C=dsl.Out(),
+           dim=dsl.Scalar("i32", default=dim)):
+        row, col = grid_coords(k, dim)
+        acc = k.var(0.0, "f32")
+        i = k.var(0, "i32")
+        with k.while_(i < dim):
+            acc.set(A[row * dim + i] * B[i * dim + col] + acc)
+            i.set(i + 1)
+        C[k.gid] = acc
 
-    def check(buffers):
-        np.testing.assert_allclose(
-            buffers["C"].reshape(dim, dim), a @ bm, rtol=1e-2, atol=1e-2
-        )
-
-    return Workload(
-        name="mm",
-        program=program,
-        buffers={"A": a.reshape(-1), "B": bm.reshape(-1), "C": c.reshape(-1)},
-        steps=[LaunchStep(global_size=dim * dim, scalars={"dim": dim})],
-        check=check,
-        category="coherent",
-        description="dense matrix multiplication, one element per work-item",
-    )
+    return mm()

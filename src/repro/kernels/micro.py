@@ -19,10 +19,11 @@ from typing import List
 
 import numpy as np
 
+from .. import dsl
 from ..isa.builder import KernelBuilder
 from ..isa.registers import FlagRef, RegRef
 from ..isa.types import CmpOp, DType
-from .workload import LaunchStep, Workload
+from .workload import LaunchStep, Workload, uniform
 
 #: The five Figure 8 divergence patterns, in the paper's order.
 FIG8_PATTERNS = (0xFFFF, 0xF0F0, 0x00FF, 0xFF0F, 0xAAAA)
@@ -143,53 +144,29 @@ def nested_divergence(
     """
     if not 1 <= level <= 4:
         raise ValueError(f"nesting level must be 1..4, got {level}")
-    b = KernelBuilder(f"nested_l{level}", simd_width)
-    gid = b.global_id()
-    sx, sy = b.surface_arg("x"), b.surface_arg("y")
-    lane = _lane_reg(b, simd_width)
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    x = b.vreg(DType.F32)
-    b.load(x, addr, sx)
-    acc = b.vreg(DType.F32)
-    b.mov(acc, 1.0)
-    bit = b.vreg(DType.I32)
 
-    def emit_level(depth: int) -> None:
-        if depth == level:
-            _emit_fma_chain(b, acc, x, work)
-            return
-        b.shr(bit, lane, depth)
-        b.and_(bit, bit, 1)
-        cond = b.cmp(CmpOp.EQ, bit, 0)
-        with b.if_(cond):
-            emit_level(depth + 1)
-            b.else_()
-            emit_level(depth + 1)
+    @dsl.kernel(n=n, simd_width=simd_width, seed=21, name=f"nested_l{level}",
+                category="divergent",
+                description=f"{level}-level nested branch divergence "
+                            f"(Table 2)")
+    def nested(k, x=dsl.In(init=uniform(0.0, 0.001)), y=dsl.Out()):
+        xv = k.var(x[k.gid])
+        acc = k.var(1.0, "f32")
 
-    emit_level(0)
-    b.store(acc, addr, sy)
-    program = b.finish()
+        def emit_level(depth: int) -> None:
+            if depth == level:
+                for _ in range(work):
+                    acc.set(acc * 1.0001 + xv)
+                return
+            with k.if_(((k.lane >> depth) & 1) == 0):
+                emit_level(depth + 1)
+                k.else_()
+                emit_level(depth + 1)
 
-    rng = np.random.default_rng(21)
-    x = rng.uniform(0.0, 0.001, n).astype(np.float32)
-    y = np.zeros(n, dtype=np.float32)
+        emit_level(0)
+        y[k.gid] = acc
 
-    def check(buffers):
-        acc = np.ones(n, dtype=np.float32)
-        for _ in range(work):
-            acc = acc * np.float32(1.0001) + x
-        np.testing.assert_allclose(buffers["y"], acc, rtol=1e-4)
-
-    return Workload(
-        name=f"nested_l{level}",
-        program=program,
-        buffers={"x": x, "y": y},
-        steps=[LaunchStep(global_size=n)],
-        check=check,
-        category="divergent",
-        description=f"{level}-level nested branch divergence (Table 2)",
-    )
+    return nested()
 
 
 def predicated_pattern(

@@ -14,78 +14,50 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import dsl
 from ..isa.builder import KernelBuilder
 from ..isa.registers import FlagRef
 from ..isa.types import CmpOp, DType
-from .workload import LaunchStep, Workload
+from .workload import LaunchStep, Workload, given, normal
 
 
 def kmeans_assign(num_points: int = 1024, num_clusters: int = 8,
                   simd_width: int = 16, seed: int = 50) -> Workload:
     """Assign each 2-D point to its nearest centroid (branchy argmin)."""
-    b = KernelBuilder("kmeans", simd_width)
-    gid = b.global_id()
-    s_px, s_py = b.surface_arg("px"), b.surface_arg("py")
-    s_cx, s_cy = b.surface_arg("cx"), b.surface_arg("cy")
-    s_assign = b.surface_arg("assign")
-    k = b.scalar_arg("k", DType.I32)
 
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    x = b.vreg(DType.F32)
-    y = b.vreg(DType.F32)
-    b.load(x, addr, s_px)
-    b.load(y, addr, s_py)
-    best = b.vreg(DType.F32)
-    b.mov(best, 1e30)
-    best_id = b.vreg(DType.I32)
-    b.mov(best_id, -1)
-    j = b.vreg(DType.I32)
-    b.mov(j, 0)
-    caddr = b.vreg(DType.I32)
-    cx = b.vreg(DType.F32)
-    cy = b.vreg(DType.F32)
-    d = b.vreg(DType.F32)
-    dy = b.vreg(DType.F32)
-    b.do_()
-    b.shl(caddr, j, 2)
-    b.load(cx, caddr, s_cx)
-    b.load(cy, caddr, s_cy)
-    b.sub(cx, x, cx)
-    b.sub(dy, y, cy)
-    b.mul(d, cx, cx)
-    b.mad(d, dy, dy, d)
-    closer = b.cmp(CmpOp.LT, d, best)
-    with b.if_(closer):
-        b.mov(best, d)
-        b.mov(best_id, j)
-    b.add(j, j, 1)
-    more = b.cmp(CmpOp.LT, j, k, flag=FlagRef(1))
-    b.while_(more)
-    b.store(best_id, addr, s_assign)
-    program = b.finish()
+    @dsl.kernel(n=num_points, simd_width=simd_width, seed=seed, name="kmeans",
+                category="divergent",
+                description="k-means nearest-centroid assignment")
+    def kmeans(t, px=dsl.In(init=normal), py=dsl.In(init=normal),
+               cx=dsl.In(size=num_clusters, init=normal),
+               cy=dsl.In(size=num_clusters, init=normal),
+               assign=dsl.Out("i32"),
+               k=dsl.Scalar("i32", default=num_clusters)):
+        # The trace handle is `t` here: `k` is the cluster count.
+        best_id = _nearest(t, t.var(px[t.gid]), t.var(py[t.gid]), cx, cy, k)
+        assign[t.gid] = best_id
 
-    rng = np.random.default_rng(seed)
-    px = rng.standard_normal(num_points).astype(np.float32)
-    py = rng.standard_normal(num_points).astype(np.float32)
-    cx = rng.standard_normal(num_clusters).astype(np.float32)
-    cy = rng.standard_normal(num_clusters).astype(np.float32)
-    assign = np.zeros(num_points, dtype=np.int32)
+    return kmeans()
 
-    def check(buffers):
-        d = ((px[:, None] - cx[None, :]) ** 2
-             + (py[:, None] - cy[None, :]) ** 2)
-        np.testing.assert_array_equal(buffers["assign"], d.argmin(axis=1))
 
-    return Workload(
-        name="kmeans",
-        program=program,
-        buffers={"px": px, "py": py, "cx": cx, "cy": cy, "assign": assign},
-        steps=[LaunchStep(global_size=num_points, scalars={"k": num_clusters})],
-        check=check,
-        category="divergent",
-        description="k-means nearest-centroid assignment",
-    )
+def _nearest(t, x, y, xs, ys, count):
+    """Index of the point (xs[j], ys[j]), j < count, nearest to (x, y),
+    by a branchy running minimum."""
+    best = t.var(1e30, "f32")
+    best_id = t.var(-1, "i32")
+    j = t.var(0, "i32")
+    with t.while_(j < count):
+        dx = t.var(xs[j])
+        dy = t.var(ys[j])
+        dx.set(x - dx)
+        dy.set(y - dy)
+        d = t.var(dx * dx)
+        d.set(dy * dy + d)
+        with t.if_(d < best):
+            best.set(d)
+            best_id.set(j)
+        j.set(j + 1)
+    return best_id
 
 
 def eigenvalue(matrix_dim: int = 12, bisect_iters: int = 20,
@@ -275,116 +247,38 @@ def scan_reduce(n: int = 1024, local_size: int = 64, simd_width: int = 16,
 
 def mersenne_mix(n: int = 1024, rounds: int = 16, simd_width: int = 16) -> Workload:
     """MT: xorshift-style tempering rounds; fully coherent bit mixing."""
-    b = KernelBuilder("mt", simd_width)
-    gid = b.global_id()
-    s_out = b.surface_arg("out")
-    state = b.vreg(DType.I32)
-    b.mad(state, gid, 69069, 362437)
-    t = b.vreg(DType.I32)
-    for _ in range(rounds):
-        b.shl(t, state, 13)
-        b.xor(state, state, t)
-        b.shr(t, state, 17)
-        b.and_(t, t, 0x7FFF)  # logical-shift emulation for the high bits
-        b.xor(state, state, t)
-        b.shl(t, state, 5)
-        b.xor(state, state, t)
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    b.store(state, addr, s_out)
-    program = b.finish()
 
-    out = np.zeros(n, dtype=np.int32)
-
-    def check(buffers):
-        state = (np.arange(n, dtype=np.int64) * 69069 + 362437) & 0xFFFFFFFF
-        state = np.where(state >= 2**31, state - 2**32, state)
+    @dsl.kernel(n=n, simd_width=simd_width, name="mt", category="coherent",
+                description="xorshift bit-mixing RNG (Mersenne-twister "
+                            "stand-in)")
+    def mt(k, out=dsl.Out("i32")):
+        state = k.var(k.gid * 69069 + 362437)
         for _ in range(rounds):
-            state = _i32(state ^ _i32(state << 13))
-            t = (state >> 17) & 0x7FFF
-            state = _i32(state ^ t)
-            state = _i32(state ^ _i32(state << 5))
-        np.testing.assert_array_equal(buffers["out"], state.astype(np.int32))
+            state.set(state ^ (state << 13))
+            # logical-shift emulation for the high bits
+            state.set(state ^ ((state >> 17) & 0x7FFF))
+            state.set(state ^ (state << 5))
+        out[k.gid] = state
 
-    return Workload(
-        name="mt",
-        program=program,
-        buffers={"out": out},
-        steps=[LaunchStep(global_size=n)],
-        check=check,
-        category="coherent",
-        description="xorshift bit-mixing RNG (Mersenne-twister stand-in)",
-    )
-
-
-def _i32(x):
-    """Wrap an int64 numpy array to int32 two's-complement range."""
-    x = x & 0xFFFFFFFF
-    return np.where(x >= 2**31, x - 2**32, x)
+    return mt()
 
 
 def knn(num_points: int = 256, num_queries: int = 128, simd_width: int = 16,
         seed: int = 53) -> Workload:
     """KNN: nearest neighbour per query via branchy running minimum."""
-    b = KernelBuilder("knn", simd_width)
-    gid = b.global_id()
-    s_qx, s_qy = b.surface_arg("qx"), b.surface_arg("qy")
-    s_px, s_py = b.surface_arg("px"), b.surface_arg("py")
-    s_nn = b.surface_arg("nn")
-    npts = b.scalar_arg("npts", DType.I32)
-
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    qx = b.vreg(DType.F32)
-    qy = b.vreg(DType.F32)
-    b.load(qx, addr, s_qx)
-    b.load(qy, addr, s_qy)
-    best = b.vreg(DType.F32)
-    b.mov(best, 1e30)
-    best_id = b.vreg(DType.I32)
-    b.mov(best_id, -1)
-    j = b.vreg(DType.I32)
-    b.mov(j, 0)
-    paddr = b.vreg(DType.I32)
-    x = b.vreg(DType.F32)
-    y = b.vreg(DType.F32)
-    d = b.vreg(DType.F32)
-    b.do_()
-    b.shl(paddr, j, 2)
-    b.load(x, paddr, s_px)
-    b.load(y, paddr, s_py)
-    b.sub(x, qx, x)
-    b.sub(y, qy, y)
-    b.mul(d, x, x)
-    b.mad(d, y, y, d)
-    closer = b.cmp(CmpOp.LT, d, best)
-    with b.if_(closer):
-        b.mov(best, d)
-        b.mov(best_id, j)
-    b.add(j, j, 1)
-    more = b.cmp(CmpOp.LT, j, npts, flag=FlagRef(1))
-    b.while_(more)
-    b.store(best_id, addr, s_nn)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
-    px = rng.standard_normal(num_points).astype(np.float32)
-    py = rng.standard_normal(num_points).astype(np.float32)
-    qx = rng.standard_normal(num_queries).astype(np.float32)
-    qy = rng.standard_normal(num_queries).astype(np.float32)
-    nn = np.zeros(num_queries, dtype=np.int32)
+    px, py, qx, qy = (rng.standard_normal(size) for size in
+                      (num_points, num_points, num_queries, num_queries))
 
-    def check(buffers):
-        d = ((qx[:, None] - px[None, :]) ** 2
-             + (qy[:, None] - py[None, :]) ** 2)
-        np.testing.assert_array_equal(buffers["nn"], d.argmin(axis=1))
+    @dsl.kernel(n=num_queries, simd_width=simd_width, seed=seed, name="knn",
+                category="divergent",
+                description="nearest neighbour search with branchy minimum")
+    def knn_(t, qx=dsl.In(init=given(qx)), qy=dsl.In(init=given(qy)),
+             px=dsl.In(size=num_points, init=given(px)),
+             py=dsl.In(size=num_points, init=given(py)),
+             nn=dsl.Out("i32"), npts=dsl.Scalar("i32", default=num_points)):
+        best_id = _nearest(t, t.var(qx[t.gid]), t.var(qy[t.gid]), px, py,
+                           npts)
+        nn[t.gid] = best_id
 
-    return Workload(
-        name="knn",
-        program=program,
-        buffers={"qx": qx, "qy": qy, "px": px, "py": py, "nn": nn},
-        steps=[LaunchStep(global_size=num_queries, scalars={"npts": num_points})],
-        check=check,
-        category="divergent",
-        description="nearest neighbour search with branchy minimum",
-    )
+    return knn_()

@@ -12,124 +12,53 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...isa.builder import KernelBuilder
-from ...isa.registers import FlagRef
-from ...isa.types import CmpOp, DType
-from ..workload import LaunchStep, Workload
-
-
-def _build_program(simd_width: int):
-    b = KernelBuilder("lavamd", simd_width)
-    gid = b.global_id()
-    s_px = b.surface_arg("px")
-    s_py = b.surface_arg("py")
-    s_pz = b.surface_arg("pz")
-    s_nb = b.surface_arg("neighbors")
-    s_cnt = b.surface_arg("counts")
-    s_f = b.surface_arg("force")
-    max_nb = b.scalar_arg("max_nb", DType.I32)
-    cutoff2 = b.scalar_arg("cutoff2", DType.F32)
-
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    x = b.vreg(DType.F32)
-    y = b.vreg(DType.F32)
-    z = b.vreg(DType.F32)
-    b.load(x, addr, s_px)
-    b.load(y, addr, s_py)
-    b.load(z, addr, s_pz)
-    count = b.vreg(DType.I32)
-    b.load(count, addr, s_cnt)
-
-    force = b.vreg(DType.F32)
-    b.mov(force, 0.0)
-    k = b.vreg(DType.I32)
-    b.mov(k, 0)
-    base = b.vreg(DType.I32)
-    b.mul(base, gid, max_nb)
-
-    has_any = b.cmp(CmpOp.GT, count, 0)
-    with b.if_(has_any):
-        idx = b.vreg(DType.I32)
-        nb = b.vreg(DType.I32)
-        nb_addr = b.vreg(DType.I32)
-        ox = b.vreg(DType.F32)
-        oy = b.vreg(DType.F32)
-        oz = b.vreg(DType.F32)
-        dx = b.vreg(DType.F32)
-        dy = b.vreg(DType.F32)
-        dz = b.vreg(DType.F32)
-        r2 = b.vreg(DType.F32)
-        contrib = b.vreg(DType.F32)
-        b.do_()
-        b.add(idx, base, k)
-        b.shl(idx, idx, 2)
-        b.load(nb, idx, s_nb)
-        b.shl(nb_addr, nb, 2)
-        b.load(ox, nb_addr, s_px)
-        b.load(oy, nb_addr, s_py)
-        b.load(oz, nb_addr, s_pz)
-        b.sub(dx, x, ox)
-        b.sub(dy, y, oy)
-        b.sub(dz, z, oz)
-        b.mul(r2, dx, dx)
-        b.mad(r2, dy, dy, r2)
-        b.mad(r2, dz, dz, r2)
-        near = b.cmp(CmpOp.LT, r2, cutoff2)
-        with b.if_(near):
-            # contrib = exp(-2 r2) / sqrt(r2 + 0.25): short-range kernel
-            b.mul(contrib, r2, -2.0)
-            b.exp(contrib, contrib)
-            denom = dx  # reuse
-            b.add(denom, r2, 0.25)
-            b.sqrt(denom, denom)
-            b.div(contrib, contrib, denom)
-            b.add(force, force, contrib)
-        b.add(k, k, 1)
-        more = b.cmp(CmpOp.LT, k, count, flag=FlagRef(1))
-        b.while_(more)
-    b.store(force, addr, s_f)
-    return b.finish()
+from ... import dsl
+from ..workload import Workload, given
 
 
 def lavamd(num_particles: int = 512, max_neighbors: int = 24,
            simd_width: int = 16, seed: int = 32) -> Workload:
     """Cutoff-bounded particle force accumulation over neighbour lists."""
-    program = _build_program(simd_width)
     rng = np.random.default_rng(seed)
-    px = rng.uniform(0, 4, num_particles).astype(np.float32)
-    py = rng.uniform(0, 4, num_particles).astype(np.float32)
-    pz = rng.uniform(0, 4, num_particles).astype(np.float32)
+    coords = [rng.uniform(0, 4, num_particles) for _ in range(3)]
     # Skewed neighbour counts: a minority of particles do most work.
-    counts = np.minimum(
-        rng.geometric(0.12, num_particles), max_neighbors
-    ).astype(np.int32)
-    neighbors = rng.integers(0, num_particles,
-                             (num_particles, max_neighbors)).astype(np.int32)
-    force = np.zeros(num_particles, dtype=np.float32)
-    cutoff2 = 1.5
+    counts = np.minimum(rng.geometric(0.12, num_particles), max_neighbors)
+    neighbors = rng.integers(0, num_particles, num_particles * max_neighbors)
 
-    def check(buffers):
-        expected = np.zeros(num_particles, dtype=np.float64)
-        for i in range(num_particles):
-            for k in range(counts[i]):
-                j = neighbors[i, k]
-                dx, dy, dz = px[i] - px[j], py[i] - py[j], pz[i] - pz[j]
-                r2 = float(dx * dx + dy * dy + dz * dz)
-                if r2 < cutoff2:
-                    expected[i] += np.exp(-2.0 * r2) / np.sqrt(r2 + 0.25)
-        np.testing.assert_allclose(buffers["force"], expected, rtol=1e-3, atol=1e-4)
+    @dsl.kernel(n=num_particles, simd_width=simd_width, seed=seed,
+                name="lavamd", category="divergent",
+                description="particle force loop with cutoff divergence "
+                            "(Rodinia lavaMD)")
+    def lava(k, px=dsl.In(init=given(coords[0])),
+             py=dsl.In(init=given(coords[1])),
+             pz=dsl.In(init=given(coords[2])),
+             neighbors=dsl.In("i32", size=neighbors.size,
+                              init=given(neighbors)),
+             counts=dsl.In("i32", init=given(counts)), force=dsl.Out(),
+             max_nb=dsl.Scalar("i32", default=max_neighbors),
+             cutoff2=dsl.Scalar(default=1.5)):
+        x, y, z = k.var(px[k.gid]), k.var(py[k.gid]), k.var(pz[k.gid])
+        count = k.var(counts[k.gid])
+        total = k.var(0.0, "f32")
+        i = k.var(0, "i32")
+        base = k.var(k.gid * max_nb)
+        with k.if_(count > 0):
+            with k.while_(i < count):
+                nb = k.var(neighbors[base + i])
+                ox, oy, oz = k.var(px[nb]), k.var(py[nb]), k.var(pz[nb])
+                dx, dy, dz = k.var(x - ox), k.var(y - oy), k.var(z - oz)
+                r2 = k.var(dx * dx)
+                r2.set(dy * dy + r2)
+                r2.set(dz * dz + r2)
+                with k.if_(r2 < cutoff2):
+                    # contrib = exp(-2 r2) / sqrt(r2 + 0.25): short range
+                    contrib = k.var(r2 * -2.0)
+                    contrib.set(dsl.exp(contrib))
+                    dx.set(r2 + 0.25)
+                    dx.set(dsl.sqrt(dx))
+                    contrib.set(contrib / dx)
+                    total.set(total + contrib)
+                i.set(i + 1)
+        force[k.gid] = total
 
-    return Workload(
-        name="lavamd",
-        program=program,
-        buffers={
-            "px": px, "py": py, "pz": pz,
-            "neighbors": neighbors.reshape(-1), "counts": counts, "force": force,
-        },
-        steps=[LaunchStep(global_size=num_particles,
-                          scalars={"max_nb": max_neighbors, "cutoff2": cutoff2})],
-        check=check,
-        category="divergent",
-        description="particle force loop with cutoff divergence (Rodinia lavaMD)",
-    )
+    return lava()

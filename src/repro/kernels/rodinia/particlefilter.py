@@ -10,70 +10,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...isa.builder import KernelBuilder
-from ...isa.registers import FlagRef
-from ...isa.types import CmpOp, DType
-from ..workload import LaunchStep, Workload
-
-
-def _build_program(simd_width: int):
-    b = KernelBuilder("particlefilter", simd_width)
-    gid = b.global_id()
-    s_cdf = b.surface_arg("cdf")
-    s_u = b.surface_arg("u")
-    s_out = b.surface_arg("indices")
-    n = b.scalar_arg("n", DType.I32)
-
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    u = b.vreg(DType.F32)
-    b.load(u, addr, s_u)
-
-    j = b.vreg(DType.I32)
-    b.mov(j, 0)
-    cdf_val = b.vreg(DType.F32)
-    cdf_addr = b.vreg(DType.I32)
-    b.do_()
-    b.shl(cdf_addr, j, 2)
-    b.load(cdf_val, cdf_addr, s_cdf)
-    found = b.cmp(CmpOp.GE, cdf_val, u)
-    b.break_(found)
-    b.add(j, j, 1)
-    more = b.cmp(CmpOp.LT, j, n, flag=FlagRef(1))
-    b.while_(more)
-    b.min_(j, j, n)  # clamp the never-found case (u == 1.0 edge)
-    b.store(j, addr, s_out)
-    return b.finish()
+from ... import dsl
+from ..workload import Workload, given
 
 
 def particlefilter(num_particles: int = 256, simd_width: int = 16,
                    seed: int = 34) -> Workload:
     """Multinomial resampling over a random weight distribution."""
-    program = _build_program(simd_width)
     rng = np.random.default_rng(seed)
     weights = rng.exponential(1.0, num_particles).astype(np.float64)
     weights /= weights.sum()
-    cdf = np.cumsum(weights).astype(np.float32)
-    cdf[-1] = 1.0
+    cdf_data = np.cumsum(weights).astype(np.float32)
+    cdf_data[-1] = 1.0
     # Multinomial resampling: independent quantiles per particle, so
     # adjacent lanes walk very different CDF prefixes (heavy loop
     # divergence); systematic resampling would sort these and make the
     # warp nearly lockstep.
-    u = rng.uniform(0.0, 1.0, num_particles).astype(np.float32)
-    indices = np.zeros(num_particles, dtype=np.int32)
+    u_data = rng.uniform(0.0, 1.0, num_particles)
 
-    def check(buffers):
-        expected = np.searchsorted(cdf, u, side="left").astype(np.int32)
-        # searchsorted('left') returns first j with cdf[j] >= u
-        np.testing.assert_array_equal(buffers["indices"], expected)
+    @dsl.kernel(n=num_particles, simd_width=simd_width, seed=seed,
+                name="particlefilter", category="divergent",
+                description="particle-filter systematic resampling (Rodinia)")
+    def resample(k, cdf=dsl.In(init=given(cdf_data)),
+                 u=dsl.In(init=given(u_data)), indices=dsl.Out("i32"),
+                 n=dsl.Scalar("i32", default=num_particles)):
+        quantile = k.var(u[k.gid])
+        j = k.var(0, "i32")
+        with k.while_(j < n):
+            k.break_if(cdf[j] >= quantile)
+            j.set(j + 1)
+        j.set(dsl.minimum(j, n))  # clamp the never-found case (u == 1.0)
+        indices[k.gid] = j
 
-    return Workload(
-        name="particlefilter",
-        program=program,
-        buffers={"cdf": cdf, "u": u, "indices": indices},
-        steps=[LaunchStep(global_size=num_particles,
-                          scalars={"n": num_particles})],
-        check=check,
-        category="divergent",
-        description="particle-filter systematic resampling (Rodinia)",
-    )
+    return resample()

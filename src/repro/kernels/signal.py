@@ -14,10 +14,11 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .. import dsl
 from ..isa.builder import KernelBuilder
 from ..isa.registers import FlagRef
 from ..isa.types import CmpOp, DType
-from .workload import LaunchStep, Workload
+from .workload import LaunchStep, Workload, given
 
 
 def dct8(blocks: int = 192, simd_width: int = 16, seed: int = 70) -> Workload:
@@ -322,56 +323,22 @@ def aes_round(blocks: int = 512, simd_width: int = 16, seed: int = 75) -> Worklo
     per-lane table gather — the *memory divergence* counterpoint to the
     branch-divergent workloads (the paper distinguishes the two).
     """
-    b = KernelBuilder("aes", simd_width)
-    gid = b.global_id()
-    s_state = b.surface_arg("state")
-    s_sbox = b.surface_arg("sbox")
-    s_key = b.surface_arg("key")
-
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    word = b.vreg(DType.I32)
-    b.load(word, addr, s_state)
-    result = b.vreg(DType.I32)
-    b.mov(result, 0)
-    byte = b.vreg(DType.I32)
-    sub = b.vreg(DType.I32)
-    taddr = b.vreg(DType.I32)
-    for shift in (0, 8, 16, 24):
-        b.shr(byte, word, shift)
-        b.and_(byte, byte, 0xFF)
-        b.shl(taddr, byte, 2)  # 4-byte table entries
-        b.load(sub, taddr, s_sbox)
-        b.shl(sub, sub, shift)
-        b.or_(result, result, sub)
-    key = b.vreg(DType.I32)
-    b.load(key, addr, s_key)
-    b.xor(result, result, key)
-    b.store(result, addr, s_state)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
-    sbox = rng.permutation(256).astype(np.int32)
-    state0 = rng.integers(0, 2**31, blocks).astype(np.int32)
-    key = rng.integers(0, 2**31, blocks).astype(np.int32)
-    state = state0.copy()
+    sbox_data = rng.permutation(256)
+    state_data = rng.integers(0, 2**31, blocks)
+    key_data = rng.integers(0, 2**31, blocks)
 
-    def check(buffers):
-        w = state0.astype(np.int64) & 0xFFFFFFFF
-        result = np.zeros(blocks, dtype=np.int64)
+    @dsl.kernel(n=blocks, simd_width=simd_width, seed=seed, name="aes",
+                category="coherent",
+                description="AES SubBytes round with per-lane S-box gathers")
+    def aes(k, state=dsl.InOut("i32", init=given(state_data)),
+            sbox=dsl.In("i32", size=256, init=given(sbox_data)),
+            key=dsl.In("i32", init=given(key_data))):
+        word = k.var(state[k.gid])
+        result = k.var(0, "i32")
         for shift in (0, 8, 16, 24):
-            byte = (w >> shift) & 0xFF
-            result |= (sbox[byte].astype(np.int64) & 0xFF) << shift
-        result ^= key.astype(np.int64) & 0xFFFFFFFF
-        result = np.where(result >= 2**31, result - 2**32, result)
-        np.testing.assert_array_equal(buffers["state"], result.astype(np.int32))
+            result.set(result | (sbox[(word >> shift) & 0xFF] << shift))
+        result.set(result ^ key[k.gid])
+        state[k.gid] = result
 
-    return Workload(
-        name="aes",
-        program=program,
-        buffers={"state": state, "sbox": sbox, "key": key},
-        steps=[LaunchStep(global_size=blocks)],
-        check=check,
-        category="coherent",
-        description="AES SubBytes round with per-lane S-box gathers",
-    )
+    return aes()

@@ -12,9 +12,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .. import dsl
 from ..isa.builder import KernelBuilder
 from ..isa.types import CmpOp, DType
-from .workload import LaunchStep, Workload
+from .workload import LaunchStep, Workload, given
 
 
 def _dominant_matrix(n: int, seed: int) -> np.ndarray:
@@ -212,105 +213,58 @@ def tridiagonal(systems: int = 256, size: int = 12, simd_width: int = 16,
 
     Fixed forward/backward sweeps: fully coherent, EM-pipe heavy.
     """
-    b = KernelBuilder("trd", simd_width)
-    gid = b.global_id()
-    s_low = b.surface_arg("low")
-    s_diag = b.surface_arg("diag")
-    s_up = b.surface_arg("up")
-    s_rhs = b.surface_arg("rhs")
-    s_cp = b.surface_arg("cprime")
-    s_x = b.surface_arg("x")
-    m = b.scalar_arg("m", DType.I32)
-
-    base = b.vreg(DType.I32)
-    b.mul(base, gid, m)
-    idx = b.vreg(DType.I32)
-    addr = b.vreg(DType.I32)
-    lo = b.vreg(DType.F32)
-    di = b.vreg(DType.F32)
-    up = b.vreg(DType.F32)
-    rh = b.vreg(DType.F32)
-    cprev = b.vreg(DType.F32)
-    dprev = b.vreg(DType.F32)
-    denom = b.vreg(DType.F32)
-
-    # Forward sweep: c'[i] = up/denom, d'[i] = (rhs - low*d'[i-1])/denom,
-    # denom = diag - low*c'[i-1]; store c' and running d' in cprime/x.
-    b.mov(cprev, 0.0)
-    b.mov(dprev, 0.0)
-    it = b.vreg(DType.I32)
-    b.mov(it, 0)
-    b.do_()
-    b.add(idx, base, it)
-    b.shl(addr, idx, 2)
-    b.load(lo, addr, s_low)
-    b.load(di, addr, s_diag)
-    b.load(up, addr, s_up)
-    b.load(rh, addr, s_rhs)
-    scaled = b.vreg(DType.F32)
-    b.mul(scaled, lo, cprev)
-    b.sub(denom, di, scaled)
-    b.div(cprev, up, denom)
-    b.mul(scaled, lo, dprev)
-    b.sub(scaled, rh, scaled)
-    b.div(dprev, scaled, denom)
-    b.store(cprev, addr, s_cp)
-    b.store(dprev, addr, s_x)
-    b.add(it, it, 1)
-    more = b.cmp(CmpOp.LT, it, m)
-    b.while_(more)
-
-    # Backward substitution: x[i] = d'[i] - c'[i] * x[i+1].
-    xnext = b.vreg(DType.F32)
-    b.mov(xnext, 0.0)
-    b.sub(it, m, 1)
-    b.do_()
-    b.add(idx, base, it)
-    b.shl(addr, idx, 2)
-    b.load(cprev, addr, s_cp)
-    b.load(dprev, addr, s_x)
-    corr = b.vreg(DType.F32)
-    b.mul(corr, cprev, xnext)
-    b.sub(xnext, dprev, corr)
-    b.store(xnext, addr, s_x)
-    b.sub(it, it, 1)
-    more = b.cmp(CmpOp.GE, it, 0)
-    b.while_(more)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
     total = systems * size
     low = rng.uniform(-1, 0, total).astype(np.float32)
     up = rng.uniform(-1, 0, total).astype(np.float32)
-    diag = (np.abs(low) + np.abs(up)
-            + rng.uniform(1, 2, total)).astype(np.float32)
+    diag = np.abs(low) + np.abs(up) + rng.uniform(1, 2, total)
     low[::size] = 0.0
     up[size - 1::size] = 0.0
-    rhs = rng.uniform(-1, 1, total).astype(np.float32)
-    cprime = np.zeros(total, dtype=np.float32)
-    x = np.zeros(total, dtype=np.float32)
+    rhs = rng.uniform(-1, 1, total)
 
-    def check(buffers):
-        got = buffers["x"].reshape(systems, size)
-        for s in range(systems):
-            matrix = np.zeros((size, size))
-            sl = slice(s * size, (s + 1) * size)
-            matrix[np.arange(size), np.arange(size)] = diag[sl]
-            matrix[np.arange(1, size), np.arange(size - 1)] = low[sl][1:]
-            matrix[np.arange(size - 1), np.arange(1, size)] = up[sl][:-1]
-            expected = np.linalg.solve(matrix, rhs[sl])
-            np.testing.assert_allclose(got[s], expected, rtol=1e-3, atol=1e-3)
+    @dsl.kernel(n=systems, simd_width=simd_width, seed=seed, name="trd",
+                category="coherent",
+                description="batched Thomas tridiagonal solver")
+    def trd(k, low=dsl.In(size=total, init=given(low)),
+            diag=dsl.In(size=total, init=given(diag)),
+            up=dsl.In(size=total, init=given(up)),
+            rhs=dsl.In(size=total, init=given(rhs)),
+            cprime=dsl.Out(size=total), x=dsl.Out(size=total),
+            m=dsl.Scalar("i32", default=size)):
+        base = k.var(k.gid * m)
+        # Forward sweep: c'[i] = up/denom, d'[i] = (rhs - low*d'[i-1])/denom,
+        # denom = diag - low*c'[i-1]; store c' and running d' in cprime/x.
+        cprev = k.var(0.0, "f32")
+        dprev = k.var(0.0, "f32")
+        it = k.var(0, "i32")
+        with k.while_(it < m):
+            idx = k.var(base + it)
+            lo = k.var(low[idx])
+            di = k.var(diag[idx])
+            u = k.var(up[idx])
+            rh = k.var(rhs[idx])
+            scaled = k.var(lo * cprev)
+            denom = k.var(di - scaled)
+            cprev.set(u / denom)
+            scaled.set(lo * dprev)
+            scaled.set(rh - scaled)
+            dprev.set(scaled / denom)
+            cprime[idx] = cprev
+            x[idx] = dprev
+            it.set(it + 1)
+        # Backward substitution: x[i] = d'[i] - c'[i] * x[i+1].
+        xnext = k.var(0.0, "f32")
+        it.set(m - 1)
+        with k.while_(it >= 0):
+            idx.set(base + it)
+            cprev.set(cprime[idx])
+            dprev.set(x[idx])
+            corr = k.var(cprev * xnext)
+            xnext.set(dprev - corr)
+            x[idx] = xnext
+            it.set(it - 1)
 
-    return Workload(
-        name="trd",
-        program=program,
-        buffers={"low": low, "diag": diag, "up": up, "rhs": rhs,
-                 "cprime": cprime, "x": x},
-        steps=[LaunchStep(global_size=systems, scalars={"m": size})],
-        check=check,
-        category="coherent",
-        description="batched Thomas tridiagonal solver",
-    )
+    return trd()
 
 
 def floyd_warshall(num_vertices: int = 24, simd_width: int = 16,

@@ -59,6 +59,10 @@ class Workload:
     #: buffers and instruction counts for such workloads, but not
     #: identical per-instruction mask statistics.
     mask_deterministic: bool = True
+    #: "dsl" when the program was lowered from a :mod:`repro.dsl`
+    #: definition (whose checker is the traced reference), "asm" when it
+    #: was assembled by hand with a KernelBuilder.
+    frontend: str = "asm"
 
     def iter_steps(self) -> Iterator[LaunchStep]:
         """Yield launch steps, consulting the host loop if dynamic."""
@@ -202,3 +206,36 @@ def run_workload_all_policies(workload_factory, config: Optional[GpuConfig] = No
                 base.with_policy(policy), factory=workload_factory)
     results = engine.run(jobs.values())
     return {policy.value: results[job] for policy, job in jobs.items()}
+
+
+# -- helpers for DSL-defined kernels ----------------------------------------
+# The kernel's seed makes the rng that ``init=`` callables draw from, in
+# buffer-argument order.
+
+
+#: An ``init=`` callable: (rng, size) -> the buffer's contents.
+BufferInit = Callable[[np.random.Generator, int], np.ndarray]
+
+
+def normal(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Standard-normal samples."""
+    return rng.standard_normal(size)
+
+
+def uniform(low: float, high: float) -> BufferInit:
+    """Uniform samples on [low, high)."""
+    return lambda rng, size: rng.uniform(low, high, size)
+
+
+def given(data: np.ndarray) -> BufferInit:
+    """A precomputed array: for data drawn in another order than the
+    kernel's buffer arguments, or derived from several draws."""
+    return lambda _rng, _size: data
+
+
+def grid_coords(k, dim):
+    """DSL variables (row, col) of work-item gid in a row-major grid
+    *dim* wide."""
+    row = k.var(k.gid / dim)
+    tmp = k.var(row * dim)
+    return row, k.var(k.gid - tmp)
