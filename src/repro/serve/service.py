@@ -955,8 +955,16 @@ class JobService:
         The bounded-assignment backstop: a job that keeps losing its
         owner (crashing workers, flapping network) is failed as a
         :class:`WorkerCrashError` after ``max_assignments`` hand-outs
-        rather than ping-ponging around the fleet forever.
+        rather than ping-ponging around the fleet forever.  A job whose
+        answer is already stored (its worker published, then died)
+        resolves from the store instead, bound or no bound.
         """
+        stored = self._stored(record.key)
+        if stored is not None:
+            record.worker = None
+            record.fence = None
+            self._resolve_stored(record, stored)
+            return
         if record.assignments >= self.max_assignments:
             self._resolve_group(record, "failed", error=WorkerCrashError(
                 f"job {record.id} ({record.spec.workload}) lost its worker "

@@ -394,20 +394,20 @@ class TestStoreAnswersAtAdmission:
 
 
 class TestStoreAnswersAtGrant:
-    def test_publish_then_crash_resolves_at_grant(self, tmp_path):
-        """A worker published and died before posting: once its lease
-        expires, the requeued job resolves from the store at the next
-        grant — no second lease, one assignment."""
+    def test_late_publish_resolves_at_grant(self, tmp_path):
+        """A fenced-out worker's publish lands after its job was
+        requeued: the job resolves from the store at the next grant —
+        no second lease, one assignment."""
         clock = FakeClock()
         service = _fleet(tmp_path, clock)
         record = service.submit({"workload": "va"})
         _lease_one(service, "w1")
-        _, _, payload, blob = _computed({"workload": "va"})
-        service.cache_publish(record.key, blob, worker="w1",
-                              job_id=record.id)
         clock.advance(service.lease_ttl + 1.0)
         service.expire_leases()
         assert record.state == JobState.QUEUED
+        _, _, payload, blob = _computed({"workload": "va"})
+        service.cache_publish(record.key, blob, worker="w1",
+                              job_id=record.id)
         assert asyncio.run(service.lease("w2", wait=0.0)) == []
         assert record.state == JobState.DONE
         assert record.cache_hit is True
@@ -416,6 +416,48 @@ class TestStoreAnswersAtGrant:
         assert service.counters.get("serve.leases.granted") == 1
         assert service.counters.get("serve.jobs.cache_hits") == 1
         assert _journal_events(service, record.id)[-1] == "resolve"
+
+    def test_publish_then_crash_resolves_at_expiry(self, tmp_path):
+        """A worker published and died before posting: the expiry that
+        takes its lease resolves the job from the store, with no
+        further lease call (a daemon without polling workers would
+        otherwise leave it queued for good)."""
+        clock = FakeClock()
+        service = _fleet(tmp_path, clock)
+        record = service.submit({"workload": "va"})
+        _lease_one(service, "w1")
+        _, _, payload, blob = _computed({"workload": "va"})
+        service.cache_publish(record.key, blob, worker="w1",
+                              job_id=record.id)
+        clock.advance(service.lease_ttl + 1.0)
+        assert service.expire_leases() == 1
+        assert record.state == JobState.DONE
+        assert record.cache_hit is True
+        assert record.result == payload
+        assert record.assignments == 1
+        assert service.counters.get("serve.jobs.cache_hits") == 1
+        assert service.counters.get("serve.leases.reassigned") == 0
+        assert _journal_events(service, record.id)[-2:] == [
+            "expire", "resolve"]
+
+    def test_stored_answer_beats_the_assignment_bound(self, tmp_path):
+        """At the ``max_assignments`` bound a lease-lost job is failed
+        as a worker crash — unless its answer is stored: then it
+        resolves as cached."""
+        clock = FakeClock()
+        service = _fleet(tmp_path, clock, max_assignments=1)
+        record = service.submit({"workload": "va"})
+        _lease_one(service, "w1")
+        _, _, payload, blob = _computed({"workload": "va"})
+        service.cache_publish(record.key, blob, worker="w1",
+                              job_id=record.id)
+        clock.advance(service.lease_ttl + 1.0)
+        service.expire_leases()
+        assert record.state == JobState.DONE
+        assert record.cache_hit is True
+        assert record.error is None
+        assert record.result == payload
+        assert service.counters.get("serve.jobs.failed") == 0
 
     def test_entry_landing_while_queued_resolves_subscribers(
             self, tmp_path):
