@@ -844,31 +844,40 @@ class Runner:
                 result = run_workload(job.build(), job.config,
                                       verify=job.verify and self.verify,
                                       host_seconds=self.timeout, memo=memo)
-            except SimulationError as exc:
-                # Typed failures are deterministic: retrying a deadlock
-                # or a verification mismatch would reproduce it.
-                self._fail(job, exc, stats, emit,
-                           time.perf_counter() - tick, queue_wait)
-                return
-            except (KeyboardInterrupt, SystemExit):
-                raise
             except Exception as exc:
-                if attempt < self.retries:
+                error = self._failure(job, exc, attempt, stats)
+                if error is None:
                     attempt += 1
-                    stats.retried += 1
-                    self._backoff(attempt)
                     continue
-                crash = WorkerCrashError(
-                    f"job {job.workload!r} failed after {attempt + 1} "
-                    f"attempt(s): {describe(exc)}")
-                crash.__cause__ = exc
-                self._fail(job, crash, stats, emit,
+                self._fail(job, error, stats, emit,
                            time.perf_counter() - tick, queue_wait)
-                return
             else:
                 self._finish(job, result, results, stats, emit,
                              time.perf_counter() - tick, queue_wait)
-                return
+            return
+
+    def _failure(self, job: Job, exc: Exception, attempts: int,
+                 stats) -> Optional[SimulationError]:
+        """The error that fails *job* after *exc*, or None to retry it.
+
+        Typed failures are deterministic — retrying a deadlock or a
+        verification mismatch would reproduce it — so a
+        :class:`SimulationError` fails the job at once.  Anything else
+        is retried after a backoff while retries remain (*attempts*
+        counts those already spent), then fails as a
+        :class:`WorkerCrashError`.
+        """
+        if isinstance(exc, SimulationError):
+            return exc
+        if attempts < self.retries:
+            stats.retried += 1
+            self._backoff(attempts + 1)
+            return None
+        crash = WorkerCrashError(
+            f"job {job.workload!r} failed after {attempts + 1} "
+            f"attempt(s): {describe(exc)}")
+        crash.__cause__ = exc
+        return crash
 
     def _run_pool(self, named: List[Job], results, stats, emit,
                   queued_since: Optional[float] = None) -> None:
@@ -944,22 +953,14 @@ class Runner:
                     except BrokenProcessPool:
                         broken = True
                         retry.append(job)
-                    except SimulationError as exc:
-                        self._fail(job, exc, stats, emit, elapsed,
-                                   queue_wait)
                     except Exception as exc:
-                        if attempt[job.key] < self.retries:
+                        error = self._failure(job, exc, attempt[job.key],
+                                              stats)
+                        if error is None:
                             attempt[job.key] += 1
-                            stats.retried += 1
-                            self._backoff(attempt[job.key])
                             retry.append(job)
                         else:
-                            crash = WorkerCrashError(
-                                f"job {job.workload!r} failed after "
-                                f"{attempt[job.key] + 1} attempt(s): "
-                                f"{describe(exc)}")
-                            crash.__cause__ = exc
-                            self._fail(job, crash, stats, emit, elapsed,
+                            self._fail(job, error, stats, emit, elapsed,
                                        queue_wait)
                     else:
                         self._finish(job, result, results, stats, emit,
