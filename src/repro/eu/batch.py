@@ -20,6 +20,15 @@ smallest pc first, ascending thread id within a wavefront) produces the
 same buffers, flags, and per-thread mask streams as the interleaved
 interpreter.
 
+The instruction semantics are the interpreter's, not a copy: ALU values
+come from :func:`repro.eu.interp.alu_value`, control flow from each
+thread's :meth:`MaskStack.control`, predicates from
+:func:`repro.eu.maskstack.pred_mask`, and offset validation from
+:func:`repro.eu.interp._checked_indices`, each applied to a
+``(threads, lanes)`` block.  What is batched here is state: the
+register file of every thread in one array, masked writes, CMP flag
+packing, SEL, and per-thread cache-line sets.
+
 Trace schema — one entry per issued instruction, ``(pc, mask, aux)``:
 
 * ALU:      ``mask`` is the final execution mask (for SEL: the current
@@ -55,8 +64,8 @@ from ..isa.registers import NUM_GRF_REGS, Imm, RegRef
 from ..isa.types import SLOTS_PER_REG, DType
 from ..memory.cache import LINE_BYTES
 from ..memory.slm import SlmAllocation, SlmTiming
-from .interp import _int_div, _shift_amounts, gather, scatter
-from .maskstack import MaskStack
+from .interp import _checked_indices, alu_value, gather, scatter
+from .maskstack import MaskStack, pred_mask
 
 __all__ = ["FunctionalMemo", "run_functional"]
 
@@ -338,73 +347,42 @@ class _BatchEngine:
     def _exec_group(self, pc: int, rows: np.ndarray) -> None:
         inst = self.instructions[pc]
         op = inst.opcode
+        preds = pred_mask(inst, self.flags)
+        if preds is not None:
+            preds = preds[rows]
         if op.pipe is Pipe.CTRL:
-            self._exec_ctrl(pc, inst, rows)
+            self._exec_ctrl(pc, inst, rows, preds)
             return
         if op is Opcode.BARRIER:
             self._exec_barrier(pc, inst, rows)
             return
+        exec_masks = self.current[rows]
+        selectors = None
         if op is Opcode.SEL:
-            exec_masks = self.current[rows]
-            selectors = self._pred_values(inst, rows)
-        else:
-            selectors = None
-            if inst.pred is None:
-                exec_masks = self.current[rows]
-            else:
-                exec_masks = self.current[rows] & self._pred_values(inst, rows)
+            # The predicate is the per-lane selector, not an execution
+            # mask.
+            selectors = preds
+        elif preds is not None:
+            exec_masks &= preds
         if op.is_memory:
             self._exec_memory(pc, inst, rows, exec_masks)
         else:
             self._exec_alu(pc, inst, rows, exec_masks, selectors)
 
-    def _pred_values(self, inst: Instruction, rows: np.ndarray) -> np.ndarray:
-        values = self.flags[inst.pred.index][rows]
-        if inst.pred.negate:
-            values = ~values
-        return values & np.uint64((1 << inst.width) - 1)
-
-    def _pred_value_row(self, inst: Instruction, row: int) -> Optional[int]:
-        if inst.pred is None:
-            return None
-        value = int(self.flags[inst.pred.index][row])
-        if inst.pred.negate:
-            value = ~value
-        return value & ((1 << inst.width) - 1)
-
     # -- control flow ---------------------------------------------------------
 
-    def _exec_ctrl(self, pc: int, inst: Instruction, rows: np.ndarray) -> None:
-        op = inst.opcode
+    def _exec_ctrl(self, pc: int, inst: Instruction, rows: np.ndarray,
+                   preds: Optional[np.ndarray]) -> None:
         instructions = self.instructions
-        for row in rows:
-            row = int(row)
+        eot = inst.opcode is Opcode.EOT
+        preds = [None] * rows.size if preds is None else preds.tolist()
+        for row, pred in zip(rows.tolist(), preds):
             masks = self.masks[row]
-            next_pc: Optional[int] = None
-            if op is Opcode.IF:
-                target_is_else = (
-                    inst.target > 0
-                    and instructions[inst.target - 1].opcode is Opcode.ELSE
-                )
-                next_pc = masks.do_if(self._pred_value_row(inst, row),
-                                      inst.target, target_is_else)
-            elif op is Opcode.ELSE:
-                next_pc = masks.do_else(inst.target)
-            elif op is Opcode.ENDIF:
-                masks.do_endif()
-            elif op is Opcode.DO:
-                next_pc = masks.do_do(inst.target)
-            elif op is Opcode.BREAK:
-                masks.do_break(self._pred_value_row(inst, row))
-            elif op is Opcode.WHILE:
-                next_pc = masks.do_while(self._pred_value_row(inst, row),
-                                         inst.target)
-            elif op is Opcode.EOT:
+            if eot:
                 self.traces[row].append((pc, masks.current, None))
                 self.status[row] = _DONE
                 continue
-            else:  # pragma: no cover - exhaustive over CTRL opcodes
-                raise NotImplementedError(f"control opcode {op}")
+            next_pc = masks.control(inst, pred, instructions)
             # Post-instruction mask population, as telemetry records it.
             self.traces[row].append((pc, masks.current, None))
             self.current[row] = masks.current
@@ -442,74 +420,17 @@ class _BatchEngine:
             self._write_reg(inst.dst, rows, width,
                             np.where(sel, a, b), exec_masks)
         else:
+            # CVT reads its source in the source type; every other op
+            # reads its sources in the instruction's type.
+            read_dtype = inst.src_dtype if op is Opcode.CVT else dtype
             with np.errstate(all="ignore"):
-                result = self._alu_value(inst, rows, width, dtype)
-            self._write_reg(inst.dst, rows, width,
-                            np.asarray(result, dtype=dtype.np_dtype),
-                            exec_masks)
+                srcs = [self._read_src(src, rows, width, read_dtype)
+                        for src in inst.sources]
+                result = alu_value(op, srcs, dtype)
+            self._write_reg(inst.dst, rows, width, result, exec_masks)
 
         self._append_entries(pc, rows, exec_masks)
         self.pc[rows] += 1
-
-    def _alu_value(self, inst, rows, width, dtype):
-        op = inst.opcode
-        if op is Opcode.CVT:
-            src = self._read_src(inst.sources[0], rows, width, inst.src_dtype)
-            return src.astype(dtype.np_dtype)
-        srcs = [self._read_src(s, rows, width, dtype) for s in inst.sources]
-        if op is Opcode.MOV:
-            return srcs[0]
-        if op is Opcode.ADD:
-            return srcs[0] + srcs[1]
-        if op is Opcode.SUB:
-            return srcs[0] - srcs[1]
-        if op is Opcode.MUL:
-            return srcs[0] * srcs[1]
-        if op is Opcode.MAD:
-            return srcs[0] * srcs[1] + srcs[2]
-        if op is Opcode.MIN:
-            return np.minimum(srcs[0], srcs[1])
-        if op is Opcode.MAX:
-            return np.maximum(srcs[0], srcs[1])
-        if op is Opcode.ABS:
-            return np.abs(srcs[0])
-        if op is Opcode.FLOOR:
-            return np.floor(srcs[0]) if dtype.is_float else srcs[0]
-        if op is Opcode.AND:
-            return srcs[0] & srcs[1]
-        if op is Opcode.OR:
-            return srcs[0] | srcs[1]
-        if op is Opcode.XOR:
-            return srcs[0] ^ srcs[1]
-        if op is Opcode.NOT:
-            return ~srcs[0]
-        if op is Opcode.SHL:
-            # Same uint64-domain evaluation as the scalar interpreter.
-            return (
-                srcs[0].astype(np.int64).astype(np.uint64)
-                << _shift_amounts(srcs[1], dtype).astype(np.uint64)
-            ).astype(dtype.np_dtype)
-        if op is Opcode.SHR:
-            return (srcs[0].astype(np.int64)
-                    >> _shift_amounts(srcs[1], dtype)).astype(dtype.np_dtype)
-        if op is Opcode.DIV:
-            return (srcs[0] / srcs[1] if dtype.is_float
-                    else _int_div(srcs[0], srcs[1]))
-        if op is Opcode.SQRT:
-            return np.sqrt(srcs[0])
-        if op is Opcode.RSQRT:
-            return 1.0 / np.sqrt(srcs[0])
-        if op is Opcode.SIN:
-            return np.sin(srcs[0])
-        if op is Opcode.COS:
-            return np.cos(srcs[0])
-        if op is Opcode.EXP:
-            return np.exp(srcs[0])
-        if op is Opcode.LOG:
-            return np.log(srcs[0])
-        if op is Opcode.POW:
-            return np.power(srcs[0], srcs[1])
-        raise NotImplementedError(f"functional model missing for {op}")
 
     # -- memory ---------------------------------------------------------------
 
@@ -557,30 +478,12 @@ class _BatchEngine:
         size = dtype.size
         surface = self.surfaces[inst.surface]
         view = surface.view(dtype.np_dtype)
-        count = view.shape[0]
         enabled = self._enabled(exec_masks, width)
-
-        # Same validation as interp._checked_indices, vectorized over the
-        # group; the canonical issue order makes "first offending lane"
-        # the lowest (thread, lane) pair.  The uint64 domain folds the
-        # negative-offset case into the range check.
-        unsigned = offsets.astype(np.uint64)
-        idx, rem = np.divmod(unsigned, np.uint64(size))
-        bad = rem != 0
-        bad |= idx >= count
-        bad &= enabled
-        if bad.any():
-            row_bad = int(np.argmax(bad.any(axis=1)))
-            lane = int(np.argmax(bad[row_bad]))
-            off = int(offsets[row_bad, lane])
-            verb = "writes" if inst.opcode.is_store else "reads"
-            if off % size != 0:
-                raise ValueError(
-                    f"misaligned {dtype} access at byte offset {off}")
-            raise IndexError(
-                f"lane {lane} {verb} byte offset {off}, beyond surface of "
-                f"{surface.size} bytes"
-            )
+        # The canonical issue order makes the shared check's "first
+        # offending lane" the lowest (thread, lane) pair.
+        idx, unsigned = _checked_indices(
+            surface, offsets, enabled, dtype,
+            "writes" if inst.opcode.is_store else "reads")
         all_enabled = bool(enabled.all())
         if inst.opcode is Opcode.LOAD:
             idx_safe = idx if all_enabled else np.where(enabled, idx, 0)

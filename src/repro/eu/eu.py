@@ -42,6 +42,7 @@ from ..memory.cache import LINE_BYTES
 from ..memory.hierarchy import MemoryHierarchy
 from .grf import _mask_bools
 from .interp import execute_alu, gather, scatter
+from .maskstack import pred_mask
 from .pipes import PipeSet
 from .thread import EUThread, ThreadState
 
@@ -547,44 +548,24 @@ class ExecutionUnit:
         masks = thread.masks
         next_pc: Optional[int] = None
         aux = None
+        pred = pred_mask(inst, thread.flags)
         if kind == _ALU:
             if inst.opcode is Opcode.SEL:
                 # The predicate is the per-lane selector, not an
                 # execution mask.
                 mask = masks.current
-                execute_alu(inst, mask, thread.grf, thread.flags,
-                            thread.pred_mask(inst))
+                execute_alu(inst, mask, thread.grf, thread.flags, pred)
             else:
-                mask = masks.exec_mask(thread.pred_mask(inst))
+                mask = masks.exec_mask(pred)
                 execute_alu(inst, mask, thread.grf, thread.flags)
         elif kind >= _SLM:
-            mask = masks.exec_mask(thread.pred_mask(inst))
+            mask = masks.exec_mask(pred)
             offsets = thread.grf.read(inst.sources[0], inst.width)
             if mask:
                 aux = (_do_slm(thread, inst, offsets, mask) if kind == _SLM
                        else _do_global(thread, inst, offsets, mask))
         elif kind == _CTRL:
-            op = inst.opcode
-            if op is Opcode.IF:
-                target_is_else = (
-                    inst.target > 0
-                    and thread.program.instructions[inst.target - 1].opcode
-                    is Opcode.ELSE
-                )
-                next_pc = masks.do_if(thread.pred_mask(inst), inst.target,
-                                      target_is_else)
-            elif op is Opcode.ELSE:
-                next_pc = masks.do_else(inst.target)
-            elif op is Opcode.ENDIF:
-                masks.do_endif()
-            elif op is Opcode.DO:
-                next_pc = masks.do_do(inst.target)
-            elif op is Opcode.BREAK:
-                masks.do_break(thread.pred_mask(inst))
-            elif op is Opcode.WHILE:
-                next_pc = masks.do_while(thread.pred_mask(inst), inst.target)
-            else:  # pragma: no cover - exhaustive over CTRL opcodes
-                raise NotImplementedError(f"control opcode {op}")
+            next_pc = masks.control(inst, pred, thread.program.instructions)
             mask = masks.current
         elif kind == _EOT:
             return masks.current, None

@@ -91,68 +91,68 @@ def execute_alu(
         grf.write(inst.dst, width, result, exec_mask)
         return
 
+    # CVT reads its source in the source type; every other op reads its
+    # sources in the instruction's type.
+    read_dtype = inst.src_dtype if op is Opcode.CVT else dtype
     with np.errstate(all="ignore"):
-        srcs = [eval_operand(s, width, grf, dtype) for s in inst.sources]
-        if op is Opcode.CVT:
-            src = eval_operand(inst.sources[0], width, grf, inst.src_dtype)
-            result = src.astype(dtype.np_dtype)
-        elif op is Opcode.MOV:
-            result = srcs[0]
-        elif op is Opcode.ADD:
-            result = srcs[0] + srcs[1]
-        elif op is Opcode.SUB:
-            result = srcs[0] - srcs[1]
-        elif op is Opcode.MUL:
-            result = srcs[0] * srcs[1]
-        elif op is Opcode.MAD:
-            result = srcs[0] * srcs[1] + srcs[2]
-        elif op is Opcode.MIN:
-            result = np.minimum(srcs[0], srcs[1])
-        elif op is Opcode.MAX:
-            result = np.maximum(srcs[0], srcs[1])
-        elif op is Opcode.ABS:
-            result = np.abs(srcs[0])
-        elif op is Opcode.FLOOR:
-            result = np.floor(srcs[0]) if dtype.is_float else srcs[0]
-        elif op is Opcode.AND:
-            result = srcs[0] & srcs[1]
-        elif op is Opcode.OR:
-            result = srcs[0] | srcs[1]
-        elif op is Opcode.XOR:
-            result = srcs[0] ^ srcs[1]
-        elif op is Opcode.NOT:
-            result = ~srcs[0]
-        elif op is Opcode.SHL:
-            # Left shifts run in the uint64 domain, where wrap-around is
-            # well defined; a 64-bit value shifted in int64 would
-            # overflow for amounts the [0, 63] clamp now admits.
-            result = (
-                srcs[0].astype(np.int64).astype(np.uint64)
-                << _shift_amounts(srcs[1], dtype).astype(np.uint64)
-            ).astype(dtype.np_dtype)
-        elif op is Opcode.SHR:
-            result = (srcs[0].astype(np.int64)
-                      >> _shift_amounts(srcs[1], dtype)).astype(dtype.np_dtype)
-        elif op is Opcode.DIV:
-            result = srcs[0] / srcs[1] if dtype.is_float else _int_div(srcs[0], srcs[1])
-        elif op is Opcode.SQRT:
-            result = np.sqrt(srcs[0])
-        elif op is Opcode.RSQRT:
-            result = 1.0 / np.sqrt(srcs[0])
-        elif op is Opcode.SIN:
-            result = np.sin(srcs[0])
-        elif op is Opcode.COS:
-            result = np.cos(srcs[0])
-        elif op is Opcode.EXP:
-            result = np.exp(srcs[0])
-        elif op is Opcode.LOG:
-            result = np.log(srcs[0])
-        elif op is Opcode.POW:
-            result = np.power(srcs[0], srcs[1])
-        else:
-            raise NotImplementedError(f"functional model missing for {op}")
+        srcs = [eval_operand(s, width, grf, read_dtype) for s in inst.sources]
+        result = alu_value(op, srcs, dtype)
+    grf.write(inst.dst, width, result, exec_mask)
 
-    grf.write(inst.dst, width, np.asarray(result, dtype=dtype.np_dtype), exec_mask)
+
+def alu_value(op: Opcode, srcs: List[np.ndarray], dtype: DType) -> np.ndarray:
+    """Value of every ALU op except CMP and SEL, as a *dtype* array.
+
+    The one definition of the ALU formulas for both engines: *srcs* may
+    be one thread's lanes (interp) or a ``(threads, lanes)`` block
+    (the batched engine).  The caller reads CVT's source in its source
+    type and every other source in *dtype*, and suppresses numpy's
+    floating-point warnings (IEEE results, as the hardware gives).
+    """
+    formula = _ALU_FORMULAS.get(op)
+    if formula is None:
+        raise NotImplementedError(f"functional model missing for {op}")
+    return np.asarray(formula(srcs, dtype), dtype=dtype.np_dtype)
+
+
+def _shl(a: np.ndarray, b: np.ndarray, dtype: DType) -> np.ndarray:
+    # Left shifts run in the uint64 domain, where wrap-around is well
+    # defined; a 64-bit value shifted in int64 would overflow for
+    # amounts the [0, 63] clamp admits.
+    return (a.astype(np.int64).astype(np.uint64)
+            << _shift_amounts(b, dtype).astype(np.uint64)
+            ).astype(dtype.np_dtype)
+
+
+#: Opcode -> ``formula(srcs, dtype)`` for :func:`alu_value`.
+_ALU_FORMULAS = {
+    Opcode.MOV: lambda s, dt: s[0],
+    Opcode.CVT: lambda s, dt: s[0].astype(dt.np_dtype),
+    Opcode.ADD: lambda s, dt: s[0] + s[1],
+    Opcode.SUB: lambda s, dt: s[0] - s[1],
+    Opcode.MUL: lambda s, dt: s[0] * s[1],
+    Opcode.MAD: lambda s, dt: s[0] * s[1] + s[2],
+    Opcode.MIN: lambda s, dt: np.minimum(s[0], s[1]),
+    Opcode.MAX: lambda s, dt: np.maximum(s[0], s[1]),
+    Opcode.ABS: lambda s, dt: np.abs(s[0]),
+    Opcode.FLOOR: lambda s, dt: np.floor(s[0]) if dt.is_float else s[0],
+    Opcode.AND: lambda s, dt: s[0] & s[1],
+    Opcode.OR: lambda s, dt: s[0] | s[1],
+    Opcode.XOR: lambda s, dt: s[0] ^ s[1],
+    Opcode.NOT: lambda s, dt: ~s[0],
+    Opcode.SHL: lambda s, dt: _shl(s[0], s[1], dt),
+    Opcode.SHR: lambda s, dt: (s[0].astype(np.int64)
+                               >> _shift_amounts(s[1], dt)).astype(dt.np_dtype),
+    Opcode.DIV: lambda s, dt: (s[0] / s[1] if dt.is_float
+                               else _int_div(s[0], s[1])),
+    Opcode.SQRT: lambda s, dt: np.sqrt(s[0]),
+    Opcode.RSQRT: lambda s, dt: 1.0 / np.sqrt(s[0]),
+    Opcode.SIN: lambda s, dt: np.sin(s[0]),
+    Opcode.COS: lambda s, dt: np.cos(s[0]),
+    Opcode.EXP: lambda s, dt: np.exp(s[0]),
+    Opcode.LOG: lambda s, dt: np.log(s[0]),
+    Opcode.POW: lambda s, dt: np.power(s[0], s[1]),
+}
 
 
 def _int_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,8 +171,8 @@ def gather(surface: np.ndarray, offsets: np.ndarray, exec_mask: int, dtype: DTyp
     """
     width = offsets.shape[0]
     view = surface.view(dtype.np_dtype)
-    enabled, idx = _checked_indices(surface, offsets, exec_mask, dtype,
-                                    view.shape[0], "reads")
+    enabled = _mask_bools(exec_mask, width)
+    idx, _ = _checked_indices(surface, offsets, enabled, dtype, "reads")
     if exec_mask == (1 << width) - 1:
         return view[idx]
     out = np.zeros(width, dtype=dtype.np_dtype)
@@ -181,15 +181,16 @@ def gather(surface: np.ndarray, offsets: np.ndarray, exec_mask: int, dtype: DTyp
 
 
 def _checked_indices(surface: np.ndarray, offsets: np.ndarray,
-                     exec_mask: int, dtype: DType, count: int, verb: str):
-    """Validate per-lane byte offsets; return (enabled bools, element idx).
+                     enabled: np.ndarray, dtype: DType, verb: str):
+    """Validate byte offsets; return (element indices, uint64 offsets).
 
-    Matches the scalar loop's error semantics exactly: the first
-    offending *enabled* lane in lane order raises, with misalignment
-    checked before range for that lane.
+    *offsets* and the boolean *enabled* share a shape: one thread's
+    lanes, or a ``(threads, lanes)`` block.  The first offending
+    *enabled* lane in row-major (thread, lane) order raises, with
+    misalignment checked before range for that lane.
     """
     size = dtype.size
-    enabled = _mask_bools(exec_mask, offsets.shape[0])
+    count = surface.nbytes // size
     # Unsigned arithmetic folds the range check into one comparison:
     # negative offsets wrap to huge values and fail ``idx >= count``.
     # dtype sizes are powers of two dividing 2**64, so alignment
@@ -200,15 +201,16 @@ def _checked_indices(surface: np.ndarray, offsets: np.ndarray,
     bad |= idx >= count
     bad &= enabled
     if bad.any():
-        lane = int(np.argmax(bad))
-        off = int(offsets[lane])
+        first = int(np.argmax(bad))
+        lane = first % offsets.shape[-1]
+        off = int(offsets.flat[first])
         if off % size != 0:
             raise ValueError(f"misaligned {dtype} access at byte offset {off}")
         raise IndexError(
             f"lane {lane} {verb} byte offset {off}, beyond surface of "
             f"{surface.size} bytes"
         )
-    return enabled, idx
+    return idx, unsigned
 
 
 def scatter(
@@ -220,8 +222,8 @@ def scatter(
     wins (matching the sequential quad write-back order of the hardware).
     """
     view = surface.view(dtype.np_dtype)
-    enabled, idx = _checked_indices(surface, offsets, exec_mask, dtype,
-                                    view.shape[0], "writes")
+    enabled = _mask_bools(exec_mask, offsets.shape[0])
+    idx, _ = _checked_indices(surface, offsets, enabled, dtype, "writes")
     # Fancy assignment applies lanes in order, so duplicate offsets keep
     # the highest enabled lane's value — the hardware's quad write-back
     # order.

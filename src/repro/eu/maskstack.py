@@ -20,12 +20,35 @@ Divergence semantics implemented:
   ENDIF cannot resurrect them mid-loop.
 * ``WHILE f`` — lanes with *f* set iterate again (back edge); when none
   survive, the loop frame pops and the loop-entry lanes resume.
+
+Both engines execute control through :meth:`MaskStack.control` and
+evaluate predicates through :func:`pred_mask`; the batched engine keeps
+one :class:`MaskStack` per thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional
+
+from ..isa.instruction import Instruction
+from ..isa.opcodes import Opcode
+
+
+def pred_mask(inst: Instruction, flags):
+    """The flag value under ``inst.pred``, or None when unpredicated.
+
+    ``flags[i]`` is flag register *i*: an int bitmask for one thread, or
+    a uint64 vector over a block of threads.  Negation comes first, then
+    the clip to the instruction's width.
+    """
+    pred = inst.pred
+    if pred is None:
+        return None
+    value = flags[pred.index]
+    if pred.negate:
+        value = ~value
+    return value & ((1 << inst.width) - 1)
 
 
 @dataclass
@@ -65,6 +88,31 @@ class MaskStack:
         if pred_mask is None:
             return self.current
         return self.current & pred_mask
+
+    def control(self, inst: Instruction, pred: Optional[int],
+                instructions: List[Instruction]) -> Optional[int]:
+        """Execute structured control instruction *inst* (any but EOT).
+
+        *pred* is its predicate value (:func:`pred_mask`); *instructions*
+        is the program, for IF's "target is an ELSE" test.  Returns the
+        next PC, or None for fall-through.
+        """
+        op = inst.opcode
+        if op is Opcode.IF:
+            target = inst.target
+            return self.do_if(pred, target, target > 0 and (
+                instructions[target - 1].opcode is Opcode.ELSE))
+        if op is Opcode.ELSE:
+            return self.do_else(inst.target)
+        if op is Opcode.ENDIF:
+            return self.do_endif()
+        if op is Opcode.DO:
+            return self.do_do(inst.target)
+        if op is Opcode.BREAK:
+            return self.do_break(pred)
+        if op is Opcode.WHILE:
+            return self.do_while(pred, inst.target)
+        raise NotImplementedError(f"control opcode {op}")
 
     # Each control method returns the next PC, or None for fall-through.
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional
 from ..isa.instruction import Instruction
 from ..isa.program import Program
 from .grf import RegisterFile
-from .maskstack import MaskStack
+from .maskstack import MaskStack, pred_mask
 from .scoreboard import Scoreboard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,12 +74,7 @@ class EUThread:
 
     def pred_mask(self, inst: Instruction) -> Optional[int]:
         """Evaluate the instruction's predicate flag (None = unpredicated)."""
-        if inst.pred is None:
-            return None
-        value = self.flags[inst.pred.index]
-        if inst.pred.negate:
-            value = ~value
-        return value & ((1 << inst.width) - 1)
+        return pred_mask(inst, self.flags)
 
     def advance(self, next_pc: Optional[int]) -> None:
         """Move to *next_pc* (or fall through) after issuing an instruction."""

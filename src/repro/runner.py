@@ -289,16 +289,14 @@ class ResultCache:
     the code salt.  Entries are *sharded* two directory levels deep by
     digest prefix (``<root>/ab/cd/<name>-abcd....pkl``) so a
     service-scale cache of hundreds of thousands of results never
-    degrades into one giant flat directory; flat entries written by
-    older versions are still found and transparently migrated into
-    their shard on first read.  Writes are crash-safe: the payload goes
-    to a uniquely-named temp file in the same directory, is fsynced, and
-    is ``os.replace``-d into place, so a killed process can never leave
-    a truncated entry behind (at worst an orphaned ``.*.tmp`` file,
-    swept by :meth:`clear`).  A corrupted or unreadable entry is
-    *quarantined* — moved into ``<root>/quarantine/`` for post-mortem
-    inspection — and treated as a miss so the job falls back to
-    re-simulation; with ``strict=True`` (or ``$REPRO_STRICT_CACHE``) it
+    degrades into one giant flat directory.  Writes are crash-safe: the
+    payload goes to a uniquely-named temp file in the same directory, is
+    fsynced, and is ``os.replace``-d into place, so a killed process can
+    never leave a truncated entry behind (at worst an orphaned
+    ``.*.tmp`` file, swept by :meth:`clear`).  A corrupted or unreadable
+    entry is *quarantined* — moved into ``<root>/quarantine/`` for
+    post-mortem inspection — and treated as a miss so the job falls back
+    to re-simulation; with ``strict=True`` (or ``$REPRO_STRICT_CACHE``) it
     raises :class:`~repro.errors.CacheCorruptionError` instead.
     """
 
@@ -313,18 +311,12 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-        #: Flat (pre-sharding) entries migrated into their shard this
-        #: session.
-        self.migrated = 0
         #: Quarantine destinations of entries condemned this session.
         self.quarantined: List[Path] = []
 
     @property
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
-
-    def _entry_name(self, job: Job) -> str:
-        return self._entry_name_for_key(job.key)
 
     def _entry_name_for_key(self, key: str) -> str:
         # A content key's first |-separated part is the workload name
@@ -353,10 +345,6 @@ class ResultCache:
         entry = self._entry_name_for_key(key)
         digest = entry.rsplit("-", 1)[1]
         return self.root / digest[:2] / digest[2:4] / entry
-
-    def legacy_path_for(self, job: Job) -> Path:
-        """Pre-sharding flat location (read-through migration source)."""
-        return self.root / self._entry_name(job)
 
     # -- bytes-level fleet surface -----------------------------------------
 
@@ -387,8 +375,7 @@ class ResultCache:
         The fleet fetch path: the bytes are what ``GET /cache/{key}``
         ships to workers, and the decoded result proves they are
         servable before they leave the daemon.  A corrupt entry is
-        quarantined and reported as a miss (strict mode raises), same
-        contract as :meth:`load`.
+        quarantined and reported as a miss (strict mode raises).
         """
         path = self.path_for_key(key)
         try:
@@ -397,13 +384,13 @@ class ResultCache:
             return None
         try:
             result = self.deserialize(data)
-        except CacheCorruptionError:
+        except CacheCorruptionError as exc:
             self.corrupt += 1
             moved = self._quarantine(path)
             if self.strict:
                 where = f"; quarantined to {moved}" if moved else ""
                 raise CacheCorruptionError(
-                    f"cache entry {path.name} is unreadable{where}")
+                    f"cache entry {path.name} is unreadable{where}") from exc
             return None
         return data, result
 
@@ -438,51 +425,14 @@ class ResultCache:
         return result
 
     def load(self, job: Job) -> Optional[KernelRunResult]:
-        path = self.path_for(job)
-        migrate_from: Optional[Path] = None
-        try:
-            data = path.read_bytes()
-        except OSError:
-            # Fall back to the flat pre-sharding layout; a hit there is
-            # migrated into its shard below so the flat directory drains
-            # as it is read.
-            legacy = self.legacy_path_for(job)
-            try:
-                data = legacy.read_bytes()
-            except OSError:
-                self.misses += 1
-                return None
-            migrate_from = legacy
-            path = legacy
-        try:
-            result = pickle.loads(data)
-            if not isinstance(result, KernelRunResult):
-                raise TypeError(f"cache entry holds {type(result).__name__}")
-        except Exception as exc:
-            self.corrupt += 1
+        """*job*'s cached result, or None; counts the hit or miss.  A
+        corrupt entry is handled as in :meth:`fetch`."""
+        hit = self.fetch(job.key)
+        if hit is None:
             self.misses += 1
-            moved = self._quarantine(path)
-            if self.strict:
-                where = f"; quarantined to {moved}" if moved else ""
-                raise CacheCorruptionError(
-                    f"cache entry {path.name} is unreadable "
-                    f"({type(exc).__name__}: {exc}){where}"
-                ) from exc
             return None
-        if migrate_from is not None:
-            self._migrate(job, migrate_from)
         self.hits += 1
-        return result
-
-    def _migrate(self, job: Job, legacy: Path) -> None:
-        """Move a readable flat entry into its shard (best effort)."""
-        target = self.path_for(job)
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, target)
-        except OSError:  # pragma: no cover - racing writer/reader
-            return
-        self.migrated += 1
+        return hit[1]
 
     def _quarantine(self, path: Path) -> Optional[Path]:
         """Move a condemned entry aside; fall back to deleting it."""
@@ -523,8 +473,8 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every cache entry (and stale temp files); returns the
-        number of entries removed.  Covers both the sharded layout and
-        any flat pre-sharding leftovers."""
+        number of entries removed.  Also sweeps flat ``*.pkl`` files left
+        by the pre-sharding layout, which is no longer read."""
         removed = 0
         if self.root.is_dir():
             for pattern in ("*.pkl", "*/*/*.pkl"):
@@ -795,10 +745,10 @@ class Runner:
         stats.failures[job.key] = error
         emit(job, "failed", elapsed, error=error, queue_wait=queue_wait)
 
-    def _backoff(self, attempt: int) -> None:
-        delay = self.retry_backoff * (2 ** (attempt - 1))
-        if delay > 0:
-            time.sleep(delay)
+    def _retry_at(self, attempt: int) -> float:
+        """Monotonic time at which retry *attempt* (1-based) of a job
+        that failed just now may start."""
+        return time.monotonic() + self.retry_backoff * (2 ** (attempt - 1))
 
     def _grace_seconds(self) -> float:
         if self.timeout_grace is not None:
@@ -848,6 +798,7 @@ class Runner:
                 error = self._failure(job, exc, attempt, stats)
                 if error is None:
                     attempt += 1
+                    _sleep_until(self._retry_at(attempt))
                     continue
                 self._fail(job, error, stats, emit,
                            time.perf_counter() - tick, queue_wait)
@@ -863,15 +814,14 @@ class Runner:
         Typed failures are deterministic — retrying a deadlock or a
         verification mismatch would reproduce it — so a
         :class:`SimulationError` fails the job at once.  Anything else
-        is retried after a backoff while retries remain (*attempts*
-        counts those already spent), then fails as a
-        :class:`WorkerCrashError`.
+        is retried while retries remain (*attempts* counts those already
+        spent), then fails as a :class:`WorkerCrashError`.  The caller
+        owns the backoff before the retry (:meth:`_retry_at`).
         """
         if isinstance(exc, SimulationError):
             return exc
         if attempts < self.retries:
             stats.retried += 1
-            self._backoff(attempts + 1)
             return None
         crash = WorkerCrashError(
             f"job {job.workload!r} failed after {attempts + 1} "
@@ -888,16 +838,18 @@ class Runner:
         back for the next round (bounded by ``retries``).  If a round's
         pool breaks — a worker was OOM-killed, segfaulted, or had to be
         terminated for overrunning its deadline — execution degrades to
-        in-process serial for whatever is left.
+        in-process serial for whatever is left.  A round never sleeps:
+        the retry backoff its failures owe is waited out between rounds,
+        so siblings keep finishing and starting meanwhile.
         """
         remaining = list(named)
         attempt = {job.key: 0 for job in named}
         queued_at = (queued_since if queued_since is not None
                      else time.monotonic())
         while remaining:
-            remaining, pool_died = self._pool_round(remaining, attempt,
-                                                    results, stats, emit,
-                                                    queued_at)
+            remaining, pool_died, retry_at = self._pool_round(
+                remaining, attempt, results, stats, emit, queued_at)
+            _sleep_until(retry_at)
             if pool_died and remaining:
                 stats.degraded += 1
                 for job in remaining:
@@ -909,9 +861,11 @@ class Runner:
 
     def _pool_round(self, jobs: List[Job], attempt: Dict[str, int],
                     results, stats, emit,
-                    queued_at: float) -> Tuple[List[Job], bool]:
-        """One process-pool pass; returns (jobs to rerun, pool died?)."""
+                    queued_at: float) -> Tuple[List[Job], bool, float]:
+        """One process-pool pass; returns (jobs to rerun, pool died?,
+        the monotonic time the retried jobs' backoff runs out)."""
         retry: List[Job] = []
+        retry_at = 0.0
         broken = False
         workers = min(self.workers, len(jobs))
         pool = ProcessPoolExecutor(max_workers=workers)
@@ -959,6 +913,8 @@ class Runner:
                         if error is None:
                             attempt[job.key] += 1
                             retry.append(job)
+                            retry_at = max(retry_at,
+                                           self._retry_at(attempt[job.key]))
                         else:
                             self._fail(job, error, stats, emit, elapsed,
                                        queue_wait)
@@ -973,7 +929,7 @@ class Runner:
                     # not yet submitted.
                     retry.extend(futures[f] for f in outstanding)
                     retry.extend(queue)
-                    return retry, True
+                    return retry, True, retry_at
                 if deadline is not None and outstanding:
                     # Every outstanding future holds a worker (throttled
                     # submission), so its clock measures execution, not
@@ -1000,7 +956,7 @@ class Runner:
                         retry.extend(queue)
                         broken = True
                         self._terminate_pool(pool)
-                        return retry, True
+                        return retry, True, retry_at
         except KeyboardInterrupt:
             broken = True
             for future in futures:
@@ -1008,7 +964,7 @@ class Runner:
             raise
         finally:
             self._shutdown_pool(pool, wait_for_workers=not broken)
-        return retry, False
+        return retry, False, retry_at
 
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -1027,6 +983,13 @@ class Runner:
             pool.shutdown(wait=wait_for_workers, cancel_futures=True)
         except Exception:  # pragma: no cover - broken pools may complain
             pass
+
+
+def _sleep_until(when: float) -> None:
+    """Sleep until monotonic time *when* (no-op once it has passed)."""
+    delay = when - time.monotonic()
+    if delay > 0:
+        time.sleep(delay)
 
 
 # ---------------------------------------------------------------------------

@@ -1199,6 +1199,5 @@ class JobService:
         cache = self.runner.cache
         if cache is not None:
             body["cache"] = {"hits": cache.hits, "misses": cache.misses,
-                             "corrupt": cache.corrupt,
-                             "migrated": cache.migrated}
+                             "corrupt": cache.corrupt}
         return body

@@ -19,6 +19,7 @@ Generation is deterministic per (profile, seed).
 from __future__ import annotations
 
 import enum
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -126,7 +127,9 @@ def _pattern_lanes(rng: np.random.Generator, family: PatternFamily,
 
 def generate_trace(profile: SyntheticProfile) -> Iterator[TraceEvent]:
     """Yield the deterministic event stream described by *profile*."""
-    rng = np.random.default_rng(profile.seed + hash(profile.name) % (2**31))
+    # crc32, not hash(): str hashes are salted per process
+    # (PYTHONHASHSEED), which would make the stream differ run to run.
+    rng = np.random.default_rng(profile.seed + zlib.crc32(profile.name.encode()))
     widths = [w for w, _ in profile.width_mix]
     width_w = [p for _, p in profile.width_mix]
     counts = [c for c, _ in profile.active_histogram]

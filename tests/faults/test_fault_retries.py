@@ -1,5 +1,7 @@
 """Retry, degradation, and interrupt behaviour of the runner under faults."""
 
+import time
+
 import pytest
 
 from repro.errors import (
@@ -157,6 +159,34 @@ class TestPoolFaults:
         assert len(results) == 8
         assert runner.last_stats.timeouts == 0
         assert runner.last_stats.failed == 0
+
+    def test_retry_backoff_does_not_stall_the_round(self, monkeypatch):
+        # Regression: the pool path slept a failed job's retry backoff
+        # inside the round's result loop, so no sibling result was
+        # recorded and no free worker got the next job until it ended.
+        # The backoff is now waited out between rounds.
+        monkeypatch.delenv("REPRO_FAULT_MARKER", raising=False)
+        monkeypatch.delenv("REPRO_FAULT_MODE", raising=False)
+        backoff = 2.0
+        executed = []
+
+        def hook(event):
+            if event.status == "executed":
+                executed.append(time.monotonic())
+
+        runner = Runner(workers=2, cache=False, retries=1,
+                        retry_backoff=backoff, strict=False, progress=hook)
+        jobs = [Job("fault_crash")] + [
+            Job("fault_sleep", params={"seconds": 0.3 + i / 1000})
+            for i in range(3)]
+        start = time.monotonic()
+        runner.run(jobs)
+        assert len(executed) == 3
+        assert executed[0] - start < backoff
+        # The retry still waits its full backoff before running.
+        assert runner.last_stats.retried == 1
+        assert runner.last_stats.failed == 1
+        assert runner.last_stats.wall_seconds >= backoff
 
     def test_in_worker_timeout_survives_pool(self):
         # The hung job dies inside its worker (typed error through the

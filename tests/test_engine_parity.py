@@ -162,6 +162,133 @@ class TestRandomProgramParity:
         _assert_parity(*_run_both(program, global_size, buffers))
 
 
+def _random_wide_program(seed):
+    """Seeded random kernel over the ops :func:`_random_program` never
+    draws, on 32- and 64-bit types.
+
+    Draws ``div`` (integer divisors include zero), ``abs_``, ``floor``,
+    ``not_``, ``sqrt``, ``rsqrt``, ``sin``, ``cos``, ``exp``, ``log``,
+    ``pow_`` and F32->I32 ``cvt``, some of them predicated or inside a
+    divergent IF/ELSE and a loop that lanes leave through BREAK.  I64
+    and F64 values span two register slots per lane, and every value is
+    written out through a store of its own type, so each engine's
+    register reads, masked writes and 64-bit gathers/scatters are what
+    the comparison sees.  F32->I32 ``cvt`` only converts values known to
+    be finite and in range (the float-to-int cast of NaN is undefined).
+    """
+    rng = random.Random(seed)
+    width = rng.choice((8, 16))
+    b = KernelBuilder(f"wide{seed}", width)
+    data = b.surface_arg("data")
+    out = {dtype: b.surface_arg(f"out_{dtype.label}")
+           for dtype in (DType.F32, DType.I32, DType.F64, DType.I64)}
+    gid = b.global_id()
+    addr4 = b.shl(b.vreg(DType.I32), gid, 2)
+    addr8 = b.shl(b.vreg(DType.I32), gid, 3)
+    x = b.load(b.vreg(DType.F32), addr4, data)
+    # tame: finite values of bounded magnitude, safe to cvt to I32.
+    tame = [x, b.sin(b.vreg(DType.F32), x)]
+    live = {
+        DType.F32: list(tame),
+        DType.I32: [gid],
+        DType.F64: [b.cvt(b.vreg(DType.F64), x)],
+        DType.I64: [b.cvt(b.vreg(DType.I64), gid)],
+    }
+    unary_f = ("sqrt", "rsqrt", "sin", "cos", "exp", "log", "abs_", "floor")
+
+    def draw(dtype, pred=None):
+        pick = rng.choice
+        if dtype.is_float:
+            roll = rng.random()
+            if roll < 0.5:
+                op = pick(unary_f)
+                src = pick(live[dtype])
+                r = getattr(b, op)(b.vreg(dtype), src, pred=pred)
+                if dtype is DType.F32 and src in tame and op in (
+                        "sin", "cos", "abs_", "floor"):
+                    tame.append(r)
+            elif roll < 0.75:
+                r = b.div(b.vreg(dtype), pick(live[dtype]),
+                          pick(live[dtype] + [0.0, 3.0]), pred=pred)
+            else:
+                r = b.pow_(b.vreg(dtype), pick(live[dtype]),
+                           pick(live[dtype] + [0.5, 2.0, -1.0]), pred=pred)
+        else:
+            roll = rng.random()
+            if roll < 0.4:
+                # Divisors 0..7: integer divide by zero yields 0.
+                divisor = b.and_(b.vreg(dtype), pick(live[dtype]), 7)
+                r = b.div(b.vreg(dtype), pick(live[dtype]), divisor,
+                          pred=pred)
+            elif roll < 0.6:
+                r = b.not_(b.vreg(dtype), pick(live[dtype]), pred=pred)
+            elif roll < 0.8:
+                r = getattr(b, pick(("abs_", "floor")))(
+                    b.vreg(dtype), pick(live[dtype]), pred=pred)
+            elif dtype is DType.I32:
+                r = b.cvt(b.vreg(DType.I32), pick(tame), pred=pred)
+            else:
+                r = b.cvt(b.vreg(DType.I64), pick(live[DType.I32]),
+                          pred=pred)
+        live[dtype].append(r)
+
+    dtypes = list(live)
+    for _ in range(rng.randrange(10, 20)):
+        pred = None
+        if rng.random() < 0.25:
+            pred = b.cmp(CmpOp.LT, gid, rng.randrange(1, width * 4),
+                         flag=FlagRef(1))
+        draw(rng.choice(dtypes), pred)
+    # Divergent IF/ELSE region computing in both arms.
+    branch = b.cmp(CmpOp.GE, gid, rng.randrange(1, width * 3),
+                   flag=FlagRef(1))
+    with b.if_(branch):
+        draw(rng.choice(dtypes))
+        b.else_()
+        draw(rng.choice(dtypes))
+    # Divergent loop: lanes BREAK out at different trip counts.
+    it = b.mov(b.vreg(DType.I32), 0)
+    limit = b.and_(b.vreg(DType.I32), gid, 7)
+    b.do_()
+    b.add(it, it, 1)
+    leave = b.cmp(CmpOp.GE, it, limit, flag=FlagRef(0))
+    b.break_(leave)
+    draw(rng.choice(dtypes))
+    again = b.cmp(CmpOp.LT, it, 6, flag=FlagRef(1))
+    b.while_(again)
+    for dtype, surf in out.items():
+        addr = addr4 if dtype.size == 4 else addr8
+        b.store(rng.choice(live[dtype]), addr, surf)
+    return b.finish(), width
+
+
+class TestWideOpParity:
+    """The ops and 64-bit types the first fuzz generator never draws:
+    both engines share the op formulas, so this pins how each one reads,
+    masks and writes the registers around them."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_wide_random_kernel_parity(self, seed):
+        program, width = _random_wide_program(seed)
+        global_size = width * 10
+
+        def buffers():
+            rng = np.random.default_rng(seed)
+            # Mostly positive inputs, so sqrt/log/pow yield numbers.
+            data = rng.standard_normal(global_size, dtype=np.float32) + 2
+            return {"data": data,
+                    **{f"out_{dtype.label}": np.zeros(
+                        global_size, dtype=dtype.np_dtype)
+                       for dtype in (DType.F32, DType.I32, DType.F64,
+                                     DType.I64)}}
+
+        interp, fast = _run_both(program, global_size, buffers)
+        _assert_parity(interp, fast)
+        for name, values in interp[1].items():
+            # Bit for bit: assert_array_equal takes any NaN as equal.
+            assert values.tobytes() == fast[1][name].tobytes(), name
+
+
 def _fault_program(width, offsets, dtype=DType.F32, store=False):
     """Kernel that gathers (or scatters) from fixed per-lane offsets."""
     b = KernelBuilder("fault", width)

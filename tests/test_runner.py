@@ -164,41 +164,10 @@ class TestShardedLayout:
         assert entry.parent.parent.name == digest[:2]
         assert entry == cache.path_for(Job("va"))
 
-    def test_legacy_flat_entry_read_through_and_migrated(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        Runner(workers=1, cache=cache).run_one("va")
-        job = Job("va")
-        sharded = cache.path_for(job)
-        legacy = cache.legacy_path_for(job)
-        # Rewind to the pre-sharding on-disk layout.
-        legacy.write_bytes(sharded.read_bytes())
-        sharded.unlink()
-
-        reopened = ResultCache(tmp_path)
-        runner = Runner(workers=1, cache=reopened)
-        runner.run_one("va")
-        assert runner.last_stats.cache_hits == 1  # served from flat file
-        assert runner.last_stats.executed == 0
-        assert reopened.migrated == 1
-        assert sharded.exists() and not legacy.exists()
-        # Second read comes straight from the sharded path.
-        rewarm = ResultCache(tmp_path)
-        assert rewarm.load(job) is not None
-        assert rewarm.migrated == 0
-
-    def test_corrupt_legacy_entry_quarantined_not_migrated(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = Job("va")
-        cache.legacy_path_for(job).write_bytes(b"garbage from the past")
-        assert cache.load(job) is None
-        assert cache.corrupt == 1
-        assert cache.migrated == 0
-        assert not cache.legacy_path_for(job).exists()  # quarantined
-
     def test_clear_sweeps_both_layouts(self, tmp_path):
         cache = ResultCache(tmp_path)
         Runner(workers=1, cache=cache).run_one("va")
-        legacy = cache.legacy_path_for(Job("dp"))
+        legacy = tmp_path / "dp-0123456789abcdef0123456789abcdef.pkl"
         legacy.write_bytes(b"stale flat entry")
         assert cache.clear() == 2
         assert not list(tmp_path.glob("*/*/*.pkl")) and not legacy.exists()

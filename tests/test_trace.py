@@ -1,6 +1,10 @@
 """Tests for the trace package: format, profiler, synthesis, workloads."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -189,3 +193,22 @@ class TestCalibratedWorkloads:
         # Paper: GLBench benefit comes mostly from SCC.
         profile = profile_trace("glbench_egypt", trace_events("glbench_egypt"))
         assert profile.scc_additional_pct > profile.bcc_reduction_pct
+
+
+class TestSynthDeterminism:
+    def test_stream_independent_of_pythonhashseed(self):
+        # Regression: the generator was seeded with hash(profile.name),
+        # which Python salts per process, so the same trace differed
+        # between runs.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("from repro.trace import trace_events\n"
+                "print([(e.width, e.mask, e.dtype_factor)"
+                " for e in trace_events('ati_eigenval')])")
+        streams = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            streams.append(proc.stdout)
+        assert streams[0] == streams[1]
+        assert streams[0].startswith("[(")
