@@ -9,7 +9,7 @@ messages, and a SIMT mask stack for structured control-flow divergence.
 
 from .eu import NEVER, ExecutionUnit
 from .grf import RegisterFile
-from .interp import eval_operand, execute_alu, gather, scatter
+from .interp import execute_alu, gather, scatter
 from .maskstack import MaskStack
 from .pipes import ExecPipe, PipeSet
 from .scoreboard import Scoreboard
@@ -25,7 +25,6 @@ __all__ = [
     "RegisterFile",
     "Scoreboard",
     "ThreadState",
-    "eval_operand",
     "execute_alu",
     "gather",
     "scatter",

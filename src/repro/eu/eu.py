@@ -40,8 +40,8 @@ from ..isa.opcodes import Opcode, Pipe
 from ..isa.registers import RegRef
 from ..memory.cache import LINE_BYTES
 from ..memory.hierarchy import MemoryHierarchy
-from .grf import _mask_bools
-from .interp import execute_alu, gather, scatter
+from .grf import _mask_bools, masked_write, operand_plan
+from .interp import alu_plan, gather, run_alu, scatter
 from .maskstack import pred_mask
 from .pipes import PipeSet
 from .thread import EUThread, ThreadState
@@ -276,139 +276,150 @@ class ExecutionUnit:
         policy = config.policy
         cycles_memo = self._cycles_memo
         active = ThreadState.ACTIVE
-        for slot in self._arbitration_order():
-            if issued >= issue_width:
-                break
-            thread = threads[slot]
-            if thread is None or thread.state is not active:
-                continue
-            packed = thread._packed_cache
-            if packed is None:
-                packed = self._fetch(thread)
-            ready = thread._ready_cache
-            if ready < thread.stall_until:
-                ready = thread.stall_until
-            pidx = packed[2]
-            if ready > now:
-                if tel is not None:
-                    tel.stall(now, slot, "scoreboard"
-                              if thread._ready_cache > now else "dispatch")
+        # Interp: numpy's floating-point warnings stay off for the pass
+        # (IEEE results, as the hardware gives), entered on the first
+        # executed issue and left even if the scan raises.
+        errstate = None
+        try:
+            for slot in self._arbitration_order():
+                if issued >= issue_width:
+                    break
+                thread = threads[slot]
+                if thread is None or thread.state is not active:
+                    continue
+                packed = thread._packed_cache
+                if packed is None:
+                    packed = self._fetch(thread)
+                ready = thread._ready_cache
+                if ready < thread.stall_until:
+                    ready = thread.stall_until
+                pidx = packed[2]
+                if ready > now:
+                    if tel is not None:
+                        tel.stall(now, slot, "scoreboard"
+                                  if thread._ready_cache > now else "dispatch")
+                    if pidx >= 0:
+                        busy = pipes[pidx].busy_until
+                        if busy > ready:
+                            ready = busy
+                    if ready < best:
+                        best = ready
+                    continue
                 if pidx >= 0:
                     busy = pipes[pidx].busy_until
-                    if busy > ready:
-                        ready = busy
-                if ready < best:
-                    best = ready
-                continue
-            if pidx >= 0:
-                busy = pipes[pidx].busy_until
-                if busy > now:
-                    if tel is not None:
-                        tel.stall(now, slot, "pipe")
-                    if busy < best:
-                        best = busy
-                    continue
+                    if busy > now:
+                        if tel is not None:
+                            tel.stall(now, slot, "pipe")
+                        if busy < best:
+                            best = busy
+                        continue
 
-            # -- issue ---------------------------------------------------
-            if prof is not None:
-                start = time.perf_counter()
-            thread.instructions_executed += 1
-            thread.last_issue_cycle = now
-            inst = packed[0]
-            kind, data = packed[3]
-            # The record: read from the trace (fast) or executed (interp).
-            if replay:
-                entry = thread.trace[thread.index]
-                thread.index += 1
-                thread._packed_cache = None
-                thread._ready_cache = None
-                mask = entry[1]
-                aux = entry[2]
-            else:
-                pc = thread.pc
-                mask, aux = self._execute(thread, inst, kind)
-                if kind >= _ALU:
-                    key = (pc, mask)
-                    issue_counts[key] = issue_counts.get(key, 0) + 1
-            if kind == _ALU:
-                latency, writes, flag, width, factor = data
-                cycles = cycles_memo.get((mask, width, factor))
-                if cycles is None:
-                    cycles = cycles_memo[(mask, width, factor)] = (
-                        execution_cycles(mask, width, policy, factor, 1))
-                pipe = pipes[pidx]
-                completion = now + cycles
-                pipe.busy_until = completion
-                pipe.busy_cycles += cycles
-                completion += latency
-                if writes is not None:
-                    reg_ready = thread.scoreboard._reg_ready
-                    for reg in writes:
-                        if completion > reg_ready.get(reg, 0):
-                            reg_ready[reg] = completion
-                    if tel is not None:
-                        tel.counters.incr("scoreboard.reg_writes")
-                if flag is not None:
-                    flag_ready = thread.scoreboard._flag_ready
-                    if completion > flag_ready.get(flag, 0):
-                        flag_ready[flag] = completion
-                    if tel is not None:
-                        tel.counters.incr("scoreboard.flag_writes")
-                if tel is not None:
-                    tel.alu_issue(now, inst, mask, cycles, pipe.name, policy)
-                if sink is not None:
-                    sink.append(TraceEvent(width, mask, factor))
-            elif kind >= _SLM:
-                occupancy, writes, surface = data
-                send = pipes[pidx]
-                send.busy_until = now + occupancy
-                send.busy_cycles += occupancy
-                if tel is not None:
-                    tel.mem_issue(now, inst, mask, occupancy)
-                if mask == 0:
-                    completion = now + 1  # suppressed message
-                elif kind == _SLM:
-                    # aux: the bank-conflict cycles.  Executing the access
-                    # already counted it; a replayed one counts here.
-                    wg = thread.workgroup
-                    if replay and wg is not None:
-                        wg.slm_timing.accesses += 1
-                        wg.slm_timing.conflict_cycles += (
-                            aux - wg.slm_timing.latency)
-                    completion = now + aux
+                # -- issue ---------------------------------------------------
+                if prof is not None:
+                    start = time.perf_counter()
+                thread.instructions_executed += 1
+                thread.last_issue_cycle = now
+                inst = packed[0]
+                kind, data = packed[3]
+                # The record: read from the trace (fast) or executed (interp).
+                if replay:
+                    entry = thread.trace[thread.index]
+                    thread.index += 1
+                    thread._packed_cache = None
+                    thread._ready_cache = None
+                    mask = entry[1]
+                    aux = entry[2]
                 else:
-                    completion = self.hierarchy.access(
-                        now, [(surface, line) for line in aux])
-                if writes is not None:
-                    reg_ready = thread.scoreboard._reg_ready
-                    for reg in writes:
-                        if completion > reg_ready.get(reg, 0):
-                            reg_ready[reg] = completion
-            elif kind == _CTRL:
-                if tel is not None:
-                    # Post-instruction mask population: the divergence
-                    # timeline.
-                    tel.ctrl_issue(now, inst, mask, inst.width)
-            elif kind == _EOT:
-                thread.state = ThreadState.DONE
-                threads[slot] = None
-                self._free += 1
-                self.threads_retired += 1
-                if tel is not None:
-                    tel.thread_retired(now)
-                if thread.workgroup is not None:
-                    thread.workgroup.thread_done(now)
-            else:  # _BARRIER; the thread resumes after it on release
-                if tel is not None:
-                    tel.barrier(now)
-                wg = thread.workgroup
-                if wg is not None:  # free-standing thread: a no-op
-                    thread.state = ThreadState.AT_BARRIER
-                    wg.arrive_barrier(thread, now, config.barrier_latency)
-            if prof is not None:
-                prof.add_opcode(inst.opcode.name, time.perf_counter() - start)
-            issued += 1
-            last_issued = slot
+                    if errstate is None:
+                        errstate = np.errstate(all="ignore")
+                        errstate.__enter__()
+                    pc = thread.pc
+                    mask, aux = self._execute(thread, inst, kind)
+                    if kind >= _ALU:
+                        key = (pc, mask)
+                        issue_counts[key] = issue_counts.get(key, 0) + 1
+                if kind == _ALU:
+                    latency, writes, flag, width, factor = data
+                    cycles = cycles_memo.get((mask, width, factor))
+                    if cycles is None:
+                        cycles = cycles_memo[(mask, width, factor)] = (
+                            execution_cycles(mask, width, policy, factor, 1))
+                    pipe = pipes[pidx]
+                    completion = now + cycles
+                    pipe.busy_until = completion
+                    pipe.busy_cycles += cycles
+                    completion += latency
+                    if writes is not None:
+                        reg_ready = thread.scoreboard._reg_ready
+                        for reg in writes:
+                            if completion > reg_ready.get(reg, 0):
+                                reg_ready[reg] = completion
+                        if tel is not None:
+                            tel.counters.incr("scoreboard.reg_writes")
+                    if flag is not None:
+                        flag_ready = thread.scoreboard._flag_ready
+                        if completion > flag_ready.get(flag, 0):
+                            flag_ready[flag] = completion
+                        if tel is not None:
+                            tel.counters.incr("scoreboard.flag_writes")
+                    if tel is not None:
+                        tel.alu_issue(now, inst, mask, cycles, pipe.name, policy)
+                    if sink is not None:
+                        sink.append(TraceEvent(width, mask, factor))
+                elif kind >= _SLM:
+                    occupancy, writes, surface = data
+                    send = pipes[pidx]
+                    send.busy_until = now + occupancy
+                    send.busy_cycles += occupancy
+                    if tel is not None:
+                        tel.mem_issue(now, inst, mask, occupancy)
+                    if mask == 0:
+                        completion = now + 1  # suppressed message
+                    elif kind == _SLM:
+                        # aux: the bank-conflict cycles.  Executing the access
+                        # already counted it; a replayed one counts here.
+                        wg = thread.workgroup
+                        if replay and wg is not None:
+                            wg.slm_timing.accesses += 1
+                            wg.slm_timing.conflict_cycles += (
+                                aux - wg.slm_timing.latency)
+                        completion = now + aux
+                    else:
+                        completion = self.hierarchy.access(
+                            now, [(surface, line) for line in aux])
+                    if writes is not None:
+                        reg_ready = thread.scoreboard._reg_ready
+                        for reg in writes:
+                            if completion > reg_ready.get(reg, 0):
+                                reg_ready[reg] = completion
+                elif kind == _CTRL:
+                    if tel is not None:
+                        # Post-instruction mask population: the divergence
+                        # timeline.
+                        tel.ctrl_issue(now, inst, mask, inst.width)
+                elif kind == _EOT:
+                    thread.state = ThreadState.DONE
+                    threads[slot] = None
+                    self._free += 1
+                    self.threads_retired += 1
+                    if tel is not None:
+                        tel.thread_retired(now)
+                    if thread.workgroup is not None:
+                        thread.workgroup.thread_done(now)
+                else:  # _BARRIER; the thread resumes after it on release
+                    if tel is not None:
+                        tel.barrier(now)
+                    wg = thread.workgroup
+                    if wg is not None:  # free-standing thread: a no-op
+                        thread.state = ThreadState.AT_BARRIER
+                        wg.arrive_barrier(thread, now, config.barrier_latency)
+                if prof is not None:
+                    prof.add_opcode(inst.opcode.name, time.perf_counter() - start)
+                issued += 1
+                last_issued = slot
+        finally:
+            if errstate is not None:
+                errstate.__exit__(None, None, None)
         if issued:
             self.instructions_issued += issued
             # Rotate past the last slot that actually issued, not past
@@ -544,6 +555,10 @@ class ExecutionUnit:
         mask; for control the post-instruction mask population), with
         ``aux`` the SLM conflict cycles or the global cache lines of a
         memory message that is not suppressed.
+
+        ALU and memory instructions run from their cached interp plans
+        (:func:`~repro.eu.interp.alu_plan`, :func:`_mem_plan`), built on
+        first execution.  The caller holds ``np.errstate(all="ignore")``.
         """
         masks = thread.masks
         next_pc: Optional[int] = None
@@ -553,17 +568,17 @@ class ExecutionUnit:
             if inst.opcode is Opcode.SEL:
                 # The predicate is the per-lane selector, not an
                 # execution mask.
-                mask = masks.current
-                execute_alu(inst, mask, thread.grf, thread.flags, pred)
+                mask, selector = masks.current, pred
             else:
-                mask = masks.exec_mask(pred)
-                execute_alu(inst, mask, thread.grf, thread.flags)
+                mask, selector = masks.exec_mask(pred), 0
+            run_alu(alu_plan(inst), mask, thread.grf._storage, thread.flags,
+                    selector)
         elif kind >= _SLM:
             mask = masks.exec_mask(pred)
-            offsets = thread.grf.read(inst.sources[0], inst.width)
+            plan = _mem_plan(inst)
             if mask:
-                aux = (_do_slm(thread, inst, offsets, mask) if kind == _SLM
-                       else _do_global(thread, inst, offsets, mask))
+                aux = (_do_slm(thread, plan, mask) if kind == _SLM
+                       else _do_global(thread, plan, mask))
         elif kind == _CTRL:
             next_pc = masks.control(inst, pred, thread.program.instructions)
             mask = masks.current
@@ -575,38 +590,72 @@ class ExecutionUnit:
         return mask, aux
 
 
-def _do_slm(thread: EUThread, inst: Instruction, offsets,
-            exec_mask: int) -> int:
+def _mem_plan(inst: Instruction) -> tuple:
+    """Interp plan of a memory message, cached on it.
+
+    ``(address, data, dst, dtype, surface, width)``: the address, store
+    data and load destination operands as ``(lo, hi, view)`` GRF slot
+    bounds and view dtype (None where the message has no such operand),
+    the element type and the global surface index.  Built on the first
+    execution, which raises any GRF overflow.
+    """
+    plan = inst.__dict__.get("_mem_plan")
+    if plan is not None:
+        return plan
+    width = inst.width
+    sources = [operand_plan(src, width) for src in inst.sources]
+    data = sources[1] if len(sources) > 1 else None
+    dst = operand_plan(inst.dst, width) if data is None else None
+    plan = inst.__dict__["_mem_plan"] = (
+        sources[0], data, dst, inst.dtype, inst.surface, width)
+    return plan
+
+
+def _offsets(storage: np.ndarray, plan: tuple) -> np.ndarray:
+    """The address operand's lanes, copied: a load may overwrite the
+    address registers before the cache lines are taken from them."""
+    lo, hi, view = plan[0]
+    return storage[lo:hi].view(view).copy()
+
+
+def _transfer(storage: np.ndarray, plan: tuple, buffer: np.ndarray,
+              offsets: np.ndarray, exec_mask: int) -> None:
+    """Gather *buffer* into the load destination, or scatter the store
+    data into it."""
+    _, data, dst, dtype, _, width = plan
+    if data is None:
+        lo, hi, view = dst
+        masked_write(storage[lo:hi].view(view),
+                     gather(buffer, offsets, exec_mask, dtype),
+                     exec_mask, width)
+    else:
+        lo, hi, view = data
+        scatter(buffer, offsets, storage[lo:hi].view(view), exec_mask, dtype)
+
+
+def _do_slm(thread: EUThread, plan: tuple, exec_mask: int) -> int:
     """Execute an SLM message; return its bank-conflict cycles."""
+    storage = thread.grf._storage
+    offsets = _offsets(storage, plan)
     wg = thread.workgroup
     if wg is None or wg.slm is None:
         raise RuntimeError(
             f"kernel {thread.program.name!r} uses SLM but none was allocated"
         )
     cycles = wg.slm_timing.access_cycles(offsets, exec_mask)
-    if inst.opcode is Opcode.LOAD_SLM:
-        values = gather(wg.slm.data, offsets, exec_mask, inst.dtype)
-        thread.grf.write(inst.dst, inst.width, values, exec_mask)
-    else:
-        values = thread.grf.read(inst.sources[1], inst.width)
-        scatter(wg.slm.data, offsets, values, exec_mask, inst.dtype)
+    _transfer(storage, plan, wg.slm.data, offsets, exec_mask)
     return cycles
 
 
-def _do_global(thread: EUThread, inst: Instruction, offsets,
-               exec_mask: int) -> list:
+def _do_global(thread: EUThread, plan: tuple, exec_mask: int) -> list:
     """Execute a global message; return the sorted distinct cache lines."""
+    storage = thread.grf._storage
+    offsets = _offsets(storage, plan)
     wg = thread.workgroup
     if wg is None:
         raise RuntimeError("global memory access outside a launch context")
-    surface = wg.surfaces[inst.surface]
-    if inst.opcode is Opcode.LOAD:
-        values = gather(surface, offsets, exec_mask, inst.dtype)
-        thread.grf.write(inst.dst, inst.width, values, exec_mask)
-    else:
-        values = thread.grf.read(inst.sources[1], inst.width)
-        scatter(surface, offsets, values, exec_mask, inst.dtype)
-    size = inst.dtype.size
-    offs = offsets[_mask_bools(exec_mask, inst.width)].astype(np.int64)
-    return np.unique(np.concatenate(
-        [offs // LINE_BYTES, (offs + size - 1) // LINE_BYTES])).tolist()
+    dtype, surface, width = plan[3:]
+    _transfer(storage, plan, wg.surfaces[surface], offsets, exec_mask)
+    offs = offsets[_mask_bools(exec_mask, width)].astype(np.int64)
+    return sorted({*(offs // LINE_BYTES).tolist(),
+                   *((offs + dtype.size - 1) // LINE_BYTES).tolist()})

@@ -4,6 +4,9 @@ The simulator follows the paper's GPGenSim structure: a functional model
 computes architectural state (registers, flags, memory) while the timing
 model charges cycles.  This module is the functional half for ALU and
 memory instructions; control flow lives in :mod:`repro.eu.maskstack`.
+The interp engine runs an ALU instruction from its cached execution
+plan (:func:`alu_plan`, :func:`run_alu`); the batched engine shares only
+the formulas (:func:`alu_value`) and the offset checks.
 
 All arithmetic uses numpy with the instruction's data type, so lane
 values behave like the 32/64-bit hardware types (int wrap-around, IEEE
@@ -21,23 +24,7 @@ from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode
 from ..isa.registers import Imm, RegRef
 from ..isa.types import DType
-from .grf import RegisterFile, _mask_bools
-
-
-def eval_operand(op, width: int, grf: RegisterFile, dtype: DType) -> np.ndarray:
-    """Materialize a source operand as a *width*-lane array of *dtype*.
-
-    Register operands are read with their own dtype then converted;
-    immediates are broadcast.
-    """
-    if isinstance(op, RegRef):
-        values = grf.read(op, width)
-        if op.dtype is not dtype:
-            values = values.astype(dtype.np_dtype)
-        return values
-    if isinstance(op, Imm):
-        return np.full(width, op.value, dtype=dtype.np_dtype)
-    raise TypeError(f"cannot evaluate operand {op!r}")
+from .grf import RegisterFile, _mask_bools, masked_write, operand_plan
 
 
 def _shift_amounts(values: np.ndarray, dtype: DType) -> np.ndarray:
@@ -45,9 +32,15 @@ def _shift_amounts(values: np.ndarray, dtype: DType) -> np.ndarray:
 
     The clamp ceiling follows the *operand* type: 31 for 32-bit types,
     63 for 64-bit ones.  A single [0, 31] clamp would silently truncate
-    I64 shifts by 32..63 to a 31-bit shift.
+    I64 shifts by 32..63 to a 31-bit shift.  (Typed bounds: ``np.clip``
+    with Python-int bounds builds dtype-limit objects on every call.)
     """
-    return np.clip(values.astype(np.int64), 0, dtype.size * 8 - 1)
+    return np.minimum(np.maximum(values.astype(np.int64), _NO_SHIFT),
+                      _MAX_SHIFT[dtype.size])
+
+
+_NO_SHIFT = np.int64(0)
+_MAX_SHIFT = {4: np.int64(31), 8: np.int64(63)}
 
 
 def execute_alu(
@@ -59,6 +52,10 @@ def execute_alu(
 ) -> None:
     """Execute one FPU/EM instruction functionally.
 
+    Runs the instruction's cached plan (:func:`alu_plan`) under its own
+    ``np.errstate``; the EU's scan calls :func:`run_alu` directly inside
+    the one ``errstate`` it enters per pass.
+
     Args:
         inst: the instruction (must be an ALU opcode).
         exec_mask: final execution mask (lanes to write).
@@ -66,38 +63,98 @@ def execute_alu(
         flags: the thread's flag registers (mutable list of bitmasks).
         selector_mask: for SEL, the per-lane selector (flag value).
     """
-    width = inst.width
+    with np.errstate(all="ignore"):
+        run_alu(alu_plan(inst), exec_mask, grf._storage, flags, selector_mask)
+
+
+#: ALU plan kinds.
+_FORMULA, _CMP, _SEL = range(3)
+
+
+def alu_plan(inst: Instruction) -> tuple:
+    """Interp execution plan of an ALU instruction, cached on it.
+
+    ``(kind, sources, fn, dtype, dst, width)``, the operand work that
+    does not change between issues, resolved once:
+
+    * ``sources``: per source, the GRF operand as ``(lo, hi, view,
+      convert)`` -- storage slot bounds, view dtype, and the dtype to
+      convert to (None when the operand already has it) -- or, for an
+      immediate, one read-only pre-broadcast array.
+    * ``fn``: the :func:`alu_value` formula, or for CMP the comparison.
+    * ``dst``: the destination's ``(lo, hi, view)``; for CMP the flag
+      register index.
+
+    Instructions are immutable after program finalization, and only
+    the interp engine builds plans.  Operand errors (``TypeError``,
+    GRF overflow ``ValueError``, ``NotImplementedError``) surface here,
+    on the first execution, in the order the operands are read.
+    """
+    plan = inst.__dict__.get("_alu_plan")
+    if plan is not None:
+        return plan
     op = inst.opcode
+    width = inst.width
     dtype = inst.dtype
-
-    if op is Opcode.CMP:
-        with np.errstate(all="ignore"):
-            a = eval_operand(inst.sources[0], width, grf, dtype)
-            b = eval_operand(inst.sources[1], width, grf, dtype)
-            result = inst.cmp_op.apply(a, b)
-        taken = np.asarray(result, dtype=bool) & _mask_bools(exec_mask, width)
-        bits = int.from_bytes(
-            np.packbits(taken, bitorder="little").tobytes(), "little")
-        idx = inst.flag_dst.index
-        # CMP updates flag bits only for enabled lanes.
-        flags[idx] = (flags[idx] & ~exec_mask) | bits
-        return
-
-    if op is Opcode.SEL:
-        a = eval_operand(inst.sources[0], width, grf, dtype)
-        b = eval_operand(inst.sources[1], width, grf, dtype)
-        sel = _mask_bools(selector_mask, width)
-        result = np.where(sel, a, b)
-        grf.write(inst.dst, width, result, exec_mask)
-        return
-
     # CVT reads its source in the source type; every other op reads its
     # sources in the instruction's type.
     read_dtype = inst.src_dtype if op is Opcode.CVT else dtype
-    with np.errstate(all="ignore"):
-        srcs = [eval_operand(s, width, grf, read_dtype) for s in inst.sources]
-        result = alu_value(op, srcs, dtype)
-    grf.write(inst.dst, width, result, exec_mask)
+    sources = tuple(_source_plan(src, width, read_dtype)
+                    for src in inst.sources)
+    if op is Opcode.CMP:
+        kind, fn, dst = _CMP, inst.cmp_op.apply, inst.flag_dst.index
+    elif op is Opcode.SEL:
+        kind, fn, dst = _SEL, None, operand_plan(inst.dst, width)
+    else:
+        kind, fn, dst = _FORMULA, _formula(op), operand_plan(inst.dst, width)
+    plan = inst.__dict__["_alu_plan"] = (kind, sources, fn, dtype, dst, width)
+    return plan
+
+
+def _source_plan(op, width: int, dtype: DType):
+    """One source of :func:`alu_plan`, read as *dtype*: a register is
+    converted, an immediate broadcast."""
+    if isinstance(op, RegRef):
+        convert = None if op.dtype is dtype else dtype.np_dtype
+        return operand_plan(op, width) + (convert,)
+    if isinstance(op, Imm):
+        values = np.full(width, op.value, dtype=dtype.np_dtype)
+        values.flags.writeable = False
+        return values
+    raise TypeError(f"cannot evaluate operand {op!r}")
+
+
+def run_alu(plan: tuple, exec_mask: int, storage: np.ndarray,
+            flags: List[int], selector_mask: int) -> None:
+    """Execute an :func:`alu_plan` on one thread's GRF *storage*.
+
+    The caller suppresses numpy's floating-point warnings.  Sources are
+    read as views where no conversion is needed: formulas never write
+    their inputs, and the masked write buffers an overlapping source.
+    """
+    if not exec_mask:
+        return  # no lane writes a register or a flag bit
+    kind, sources, fn, dtype, dst, width = plan
+    srcs = []
+    for src in sources:
+        if src.__class__ is tuple:
+            lo, hi, view, convert = src
+            src = storage[lo:hi].view(view)
+            if convert is not None:
+                src = src.astype(convert)
+        srcs.append(src)
+    if kind == _CMP:
+        bits = int.from_bytes(np.packbits(
+            fn(srcs[0], srcs[1]), bitorder="little").tobytes(), "little")
+        # CMP updates flag bits only for enabled lanes.
+        flags[dst] = (flags[dst] & ~exec_mask) | (bits & exec_mask)
+        return
+    if kind == _SEL:
+        result = np.where(_mask_bools(selector_mask, width), srcs[0], srcs[1])
+    else:
+        result = np.asarray(fn(srcs, dtype), dtype=dtype.np_dtype)
+    lo, hi, view = dst
+    masked_write(storage[lo:hi].view(view), result, exec_mask, width)
 
 
 def alu_value(op: Opcode, srcs: List[np.ndarray], dtype: DType) -> np.ndarray:
@@ -109,10 +166,14 @@ def alu_value(op: Opcode, srcs: List[np.ndarray], dtype: DType) -> np.ndarray:
     type and every other source in *dtype*, and suppresses numpy's
     floating-point warnings (IEEE results, as the hardware gives).
     """
+    return np.asarray(_formula(op)(srcs, dtype), dtype=dtype.np_dtype)
+
+
+def _formula(op: Opcode):
     formula = _ALU_FORMULAS.get(op)
     if formula is None:
         raise NotImplementedError(f"functional model missing for {op}")
-    return np.asarray(formula(srcs, dtype), dtype=dtype.np_dtype)
+    return formula
 
 
 def _shl(a: np.ndarray, b: np.ndarray, dtype: DType) -> np.ndarray:

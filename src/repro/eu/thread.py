@@ -13,10 +13,9 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Optional
 
-from ..isa.instruction import Instruction
 from ..isa.program import Program
 from .grf import RegisterFile
-from .maskstack import MaskStack, pred_mask
+from .maskstack import MaskStack
 from .scoreboard import Scoreboard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,10 +70,6 @@ class EUThread:
     @property
     def done(self) -> bool:
         return self.state is ThreadState.DONE
-
-    def pred_mask(self, inst: Instruction) -> Optional[int]:
-        """Evaluate the instruction's predicate flag (None = unpredicated)."""
-        return pred_mask(inst, self.flags)
 
     def advance(self, next_pc: Optional[int]) -> None:
         """Move to *next_pc* (or fall through) after issuing an instruction."""

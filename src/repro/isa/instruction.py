@@ -127,6 +127,13 @@ class Instruction:
             return []
         return list(self.dst.regs(width))
 
+    def __getstate__(self) -> dict:
+        """Pickle the fields only: the caches the simulator keeps in
+        ``__dict__`` (``_reads_cache``, the EU's issue info and interp
+        plans) are rebuilt on demand, and the plans hold functions."""
+        return {k: v for k, v in self.__dict__.items()
+                if not k.startswith("_")}
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         parts = []
         if self.pred is not None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eu.grf import RegisterFile
-from repro.eu.interp import eval_operand, execute_alu, gather, scatter
+from repro.eu.interp import execute_alu, gather, scatter
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import FlagRef, Imm, RegRef
@@ -33,18 +33,29 @@ def grf():
     return grf
 
 
-class TestEvalOperand:
+class TestSourceOperands:
+    """Source operands as an ALU instruction reads them (through MOV)."""
+
     def test_register(self, grf):
-        values = eval_operand(RegRef(0, DType.F32), 16, grf, DType.F32)
-        np.testing.assert_array_equal(values, np.arange(16))
+        dst = RegRef(10, DType.F32)
+        _exec(Opcode.MOV, dst, [RegRef(0, DType.F32)], grf)
+        np.testing.assert_array_equal(grf.read(dst, 16), np.arange(16))
 
     def test_immediate_broadcast(self, grf):
-        values = eval_operand(Imm(3.5, DType.F32), 16, grf, DType.F32)
-        np.testing.assert_array_equal(values, 3.5)
+        dst = RegRef(10, DType.F32)
+        _exec(Opcode.MOV, dst, [Imm(3.5, DType.F32)], grf)
+        np.testing.assert_array_equal(grf.read(dst, 16), 3.5)
 
     def test_dtype_conversion(self, grf):
-        values = eval_operand(RegRef(0, DType.F32), 16, grf, DType.I32)
+        # An F32 register read by an I32 instruction is converted by value
+        # before the op: int(i + 0.5) * 2, not int((i + 0.5) * 2).
+        src = RegRef(4, DType.F32)
+        grf.write(src, 16, np.arange(16, dtype=np.float32) + 0.5, FULL16)
+        dst = RegRef(10, DType.I32)
+        _exec(Opcode.MUL, dst, [src, Imm(2, DType.I32)], grf, dtype=DType.I32)
+        values = grf.read(dst, 16)
         assert values.dtype == np.int32
+        np.testing.assert_array_equal(values, np.arange(16) * 2)
 
 
 class TestArithmetic:

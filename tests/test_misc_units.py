@@ -132,15 +132,16 @@ class TestThreadState:
     def test_pred_mask_negation(self):
         thread = self._thread()
         thread.flags[0] = 0x00FF
+        from repro.eu.maskstack import pred_mask
         from repro.isa.instruction import Instruction
         from repro.isa.opcodes import Opcode
         from repro.isa.registers import FlagRef
 
         inst = Instruction(opcode=Opcode.IF, width=16, pred=FlagRef(0))
-        assert thread.pred_mask(inst) == 0x00FF
+        assert pred_mask(inst, thread.flags) == 0x00FF
         inst_neg = Instruction(opcode=Opcode.IF, width=16,
                                pred=FlagRef(0, negate=True))
-        assert thread.pred_mask(inst_neg) == 0xFF00
+        assert pred_mask(inst_neg, thread.flags) == 0xFF00
 
 
 class TestDramPort:
