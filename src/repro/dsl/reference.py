@@ -90,7 +90,10 @@ class _Reference:
         self._loops: List[np.ndarray] = []  # live masks, innermost last
 
     def run(self) -> None:
-        self._block(self.trace.statements, [])
+        # IEEE results (inf/nan, integer wrap-around) as the hardware
+        # gives them, without numpy's floating-point warnings.
+        with np.errstate(all="ignore"):
+            self._block(self.trace.statements, [])
 
     # -- statements ----------------------------------------------------------
 
@@ -218,70 +221,67 @@ class _Reference:
     def _binop(self, e: BinOp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         op = e.op
         dtype = e.dtype
-        with np.errstate(all="ignore"):
-            if op == "add":
-                return a + b
-            if op == "sub":
-                return a - b
-            if op == "mul":
-                return a * b
-            if op == "div":
-                if dtype.is_float:
-                    return a / b
-                safe = np.where(b == 0, 1, b)
-                return np.where(b == 0, 0, a // safe).astype(a.dtype)
-            if op == "and":
-                return a & b
-            if op == "or":
-                return a | b
-            if op == "xor":
-                return a ^ b
-            if op == "shl":
-                return (
-                    a.astype(np.int64).astype(np.uint64)
-                    << _shift_amounts(b, dtype).astype(np.uint64)
-                ).astype(dtype.np_dtype)
-            if op == "shr":
-                return (a.astype(np.int64)
-                        >> _shift_amounts(b, dtype)).astype(dtype.np_dtype)
-            if op == "min":
-                return np.minimum(a, b)
-            if op == "max":
-                return np.maximum(a, b)
-            if op == "pow":
-                return np.power(a, b)
+        if op == "add":
+            return a + b
+        if op == "sub":
+            return a - b
+        if op == "mul":
+            return a * b
+        if op == "div":
+            if dtype.is_float:
+                return a / b
+            safe = np.where(b == 0, 1, b)
+            return np.where(b == 0, 0, a // safe).astype(a.dtype)
+        if op == "and":
+            return a & b
+        if op == "or":
+            return a | b
+        if op == "xor":
+            return a ^ b
+        if op == "shl":
+            return (
+                a.astype(np.int64).astype(np.uint64)
+                << _shift_amounts(b, dtype).astype(np.uint64)
+            ).astype(dtype.np_dtype)
+        if op == "shr":
+            return (a.astype(np.int64)
+                    >> _shift_amounts(b, dtype)).astype(dtype.np_dtype)
+        if op == "min":
+            return np.minimum(a, b)
+        if op == "max":
+            return np.maximum(a, b)
+        if op == "pow":
+            return np.power(a, b)
         raise BuildError(f"unknown binary operator {e.op!r}")  # pragma: no cover
 
     def _unop(self, e: UnOp, a: np.ndarray) -> np.ndarray:
         op = e.op
-        with np.errstate(all="ignore"):
-            if op == "not":
-                return ~a
-            if op == "abs":
-                return np.abs(a)
-            if op == "floor":
-                return np.floor(a) if e.dtype.is_float else a
-            if op == "sqrt":
-                return np.sqrt(a)
-            if op == "rsqrt":
-                return 1.0 / np.sqrt(a)
-            if op == "sin":
-                return np.sin(a)
-            if op == "cos":
-                return np.cos(a)
-            if op == "exp":
-                return np.exp(a)
-            if op == "log":
-                return np.log(a)
+        if op == "not":
+            return ~a
+        if op == "abs":
+            return np.abs(a)
+        if op == "floor":
+            return np.floor(a) if e.dtype.is_float else a
+        if op == "sqrt":
+            return np.sqrt(a)
+        if op == "rsqrt":
+            return 1.0 / np.sqrt(a)
+        if op == "sin":
+            return np.sin(a)
+        if op == "cos":
+            return np.cos(a)
+        if op == "exp":
+            return np.exp(a)
+        if op == "log":
+            return np.log(a)
         raise BuildError(f"unknown unary operator {e.op!r}")  # pragma: no cover
 
     # -- conditions ----------------------------------------------------------
 
     def _cond(self, cond: Cond, mask: np.ndarray) -> np.ndarray:
         if isinstance(cond, Compare):
-            with np.errstate(all="ignore"):
-                result = cond.op.apply(self._eval(cond.a, mask),
-                                       self._eval(cond.b, mask))
+            result = cond.op.apply(self._eval(cond.a, mask),
+                                   self._eval(cond.b, mask))
             return np.asarray(result, dtype=bool)
         if isinstance(cond, Not):
             return ~self._cond(cond.inner, mask)

@@ -93,12 +93,16 @@ def run_functional(
     :meth:`repro.gpu.dispatch.Launch._materialize` exactly, so trace
     index *i* belongs to the thread the replay launch materializes with
     ``thread_id == i``.  Buffers behind *surfaces* are mutated in place,
-    exactly as the interleaved interpreter would.
+    exactly as the interleaved interpreter would.  The pass runs inside
+    one ``np.errstate(all="ignore")``: IEEE results, as the hardware
+    gives, without numpy's floating-point warnings.
     """
-    return _BatchEngine(
+    engine = _BatchEngine(
         program, global_size, local_size, surfaces, scalars, config,
         wall_deadline,
-    ).run()
+    )
+    with np.errstate(all="ignore"):
+        return engine.run()
 
 
 class FunctionalMemo:
@@ -404,10 +408,9 @@ class _BatchEngine:
         dtype = inst.dtype
 
         if op is Opcode.CMP:
-            with np.errstate(all="ignore"):
-                a = self._read_src(inst.sources[0], rows, width, dtype)
-                b = self._read_src(inst.sources[1], rows, width, dtype)
-                result = inst.cmp_op.apply(a, b)
+            a = self._read_src(inst.sources[0], rows, width, dtype)
+            b = self._read_src(inst.sources[1], rows, width, dtype)
+            result = inst.cmp_op.apply(a, b)
             taken = np.asarray(result, dtype=bool) & self._enabled(exec_masks, width)
             bits = (taken * self._lane_bits[None, :width]).sum(
                 axis=1, dtype=np.uint64)
@@ -423,10 +426,9 @@ class _BatchEngine:
             # CVT reads its source in the source type; every other op
             # reads its sources in the instruction's type.
             read_dtype = inst.src_dtype if op is Opcode.CVT else dtype
-            with np.errstate(all="ignore"):
-                srcs = [self._read_src(src, rows, width, read_dtype)
-                        for src in inst.sources]
-                result = alu_value(op, srcs, dtype)
+            srcs = [self._read_src(src, rows, width, read_dtype)
+                    for src in inst.sources]
+            result = alu_value(op, srcs, dtype)
             self._write_reg(inst.dst, rows, width, result, exec_masks)
 
         self._append_entries(pc, rows, exec_masks)

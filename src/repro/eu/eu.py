@@ -213,8 +213,13 @@ class ExecutionUnit:
         #: invalidate.  Lets ``step`` skip whole arbitration scans and
         #: ``next_event`` skip whole thread walks while the EU waits.
         self._event_floor: Optional[int] = None
-        #: Precomputed arbitration orders, one per rotating-pointer value.
-        self._orders: Optional[List[List[int]]] = None
+        #: Arbitration orders, one per rotating-pointer value.  ``_rr``
+        #: rotates on issue under either arbiter, but the fixed arbiter
+        #: ignores it: every pass scans from slot 0.
+        n = config.threads_per_eu
+        self._orders: List[List[int]] = (
+            [list(range(n))] * n if config.arbiter == "fixed"
+            else [[(r + i) % n for i in range(n)] for r in range(n)])
         #: (mask, width, dtype_factor) -> policy execution cycles, a plain
         #: dict in front of :func:`execution_cycles` (the policy is fixed
         #: for the EU's lifetime).
@@ -250,6 +255,12 @@ class ExecutionUnit:
         nothing has evaluated every resident thread's readiness, so it
         leaves the exact floor behind; a pass that issues clears the
         floor for :meth:`_compute_event_floor` to rederive.
+
+        Interp executes in the caller's numpy error state: the caller
+        holds ``np.errstate(all="ignore")`` (IEEE results, as the
+        hardware gives) once per run, as :meth:`GpuSimulator.run
+        <repro.gpu.simulator.GpuSimulator.run>` does around its cycle
+        loop.
         """
         config = self.config
         if now % config.issue_period != 0:
@@ -276,150 +287,139 @@ class ExecutionUnit:
         policy = config.policy
         cycles_memo = self._cycles_memo
         active = ThreadState.ACTIVE
-        # Interp: numpy's floating-point warnings stay off for the pass
-        # (IEEE results, as the hardware gives), entered on the first
-        # executed issue and left even if the scan raises.
-        errstate = None
-        try:
-            for slot in self._arbitration_order():
-                if issued >= issue_width:
-                    break
-                thread = threads[slot]
-                if thread is None or thread.state is not active:
-                    continue
-                packed = thread._packed_cache
-                if packed is None:
-                    packed = self._fetch(thread)
-                ready = thread._ready_cache
-                if ready < thread.stall_until:
-                    ready = thread.stall_until
-                pidx = packed[2]
-                if ready > now:
-                    if tel is not None:
-                        tel.stall(now, slot, "scoreboard"
-                                  if thread._ready_cache > now else "dispatch")
-                    if pidx >= 0:
-                        busy = pipes[pidx].busy_until
-                        if busy > ready:
-                            ready = busy
-                    if ready < best:
-                        best = ready
-                    continue
+        for slot in self._orders[self._rr]:
+            if issued >= issue_width:
+                break
+            thread = threads[slot]
+            if thread is None or thread.state is not active:
+                continue
+            packed = thread._packed_cache
+            if packed is None:
+                packed = self._fetch(thread)
+            ready = thread._ready_cache
+            if ready < thread.stall_until:
+                ready = thread.stall_until
+            pidx = packed[2]
+            if ready > now:
+                if tel is not None:
+                    tel.stall(now, slot, "scoreboard"
+                              if thread._ready_cache > now else "dispatch")
                 if pidx >= 0:
                     busy = pipes[pidx].busy_until
-                    if busy > now:
-                        if tel is not None:
-                            tel.stall(now, slot, "pipe")
-                        if busy < best:
-                            best = busy
-                        continue
+                    if busy > ready:
+                        ready = busy
+                if ready < best:
+                    best = ready
+                continue
+            if pidx >= 0:
+                busy = pipes[pidx].busy_until
+                if busy > now:
+                    if tel is not None:
+                        tel.stall(now, slot, "pipe")
+                    if busy < best:
+                        best = busy
+                    continue
 
-                # -- issue ---------------------------------------------------
-                if prof is not None:
-                    start = time.perf_counter()
-                thread.instructions_executed += 1
-                thread.last_issue_cycle = now
-                inst = packed[0]
-                kind, data = packed[3]
-                # The record: read from the trace (fast) or executed (interp).
-                if replay:
-                    entry = thread.trace[thread.index]
-                    thread.index += 1
-                    thread._packed_cache = None
-                    thread._ready_cache = None
-                    mask = entry[1]
-                    aux = entry[2]
-                else:
-                    if errstate is None:
-                        errstate = np.errstate(all="ignore")
-                        errstate.__enter__()
-                    pc = thread.pc
-                    mask, aux = self._execute(thread, inst, kind)
-                    if kind >= _ALU:
-                        key = (pc, mask)
-                        issue_counts[key] = issue_counts.get(key, 0) + 1
-                if kind == _ALU:
-                    latency, writes, flag, width, factor = data
-                    cycles = cycles_memo.get((mask, width, factor))
-                    if cycles is None:
-                        cycles = cycles_memo[(mask, width, factor)] = (
-                            execution_cycles(mask, width, policy, factor, 1))
-                    pipe = pipes[pidx]
-                    completion = now + cycles
-                    pipe.busy_until = completion
-                    pipe.busy_cycles += cycles
-                    completion += latency
-                    if writes is not None:
-                        reg_ready = thread.scoreboard._reg_ready
-                        for reg in writes:
-                            if completion > reg_ready.get(reg, 0):
-                                reg_ready[reg] = completion
-                        if tel is not None:
-                            tel.counters.incr("scoreboard.reg_writes")
-                    if flag is not None:
-                        flag_ready = thread.scoreboard._flag_ready
-                        if completion > flag_ready.get(flag, 0):
-                            flag_ready[flag] = completion
-                        if tel is not None:
-                            tel.counters.incr("scoreboard.flag_writes")
+            # -- issue ---------------------------------------------------
+            if prof is not None:
+                start = time.perf_counter()
+            thread.instructions_executed += 1
+            thread.last_issue_cycle = now
+            inst = packed[0]
+            kind, data = packed[3]
+            # The record: read from the trace (fast) or executed (interp).
+            if replay:
+                entry = thread.trace[thread.index]
+                thread.index += 1
+                thread._packed_cache = None
+                thread._ready_cache = None
+                mask = entry[1]
+                aux = entry[2]
+            else:
+                pc = thread.pc
+                mask, aux = self._execute(thread, inst, kind)
+                if kind >= _ALU:
+                    key = (pc, mask)
+                    issue_counts[key] = issue_counts.get(key, 0) + 1
+            if kind == _ALU:
+                latency, writes, flag, width, factor = data
+                cycles = cycles_memo.get((mask, width, factor))
+                if cycles is None:
+                    cycles = cycles_memo[(mask, width, factor)] = (
+                        execution_cycles(mask, width, policy, factor, 1))
+                pipe = pipes[pidx]
+                completion = now + cycles
+                pipe.busy_until = completion
+                pipe.busy_cycles += cycles
+                completion += latency
+                if writes is not None:
+                    reg_ready = thread.scoreboard._reg_ready
+                    for reg in writes:
+                        if completion > reg_ready.get(reg, 0):
+                            reg_ready[reg] = completion
                     if tel is not None:
-                        tel.alu_issue(now, inst, mask, cycles, pipe.name, policy)
-                    if sink is not None:
-                        sink.append(TraceEvent(width, mask, factor))
-                elif kind >= _SLM:
-                    occupancy, writes, surface = data
-                    send = pipes[pidx]
-                    send.busy_until = now + occupancy
-                    send.busy_cycles += occupancy
+                        tel.counters.incr("scoreboard.reg_writes")
+                if flag is not None:
+                    flag_ready = thread.scoreboard._flag_ready
+                    if completion > flag_ready.get(flag, 0):
+                        flag_ready[flag] = completion
                     if tel is not None:
-                        tel.mem_issue(now, inst, mask, occupancy)
-                    if mask == 0:
-                        completion = now + 1  # suppressed message
-                    elif kind == _SLM:
-                        # aux: the bank-conflict cycles.  Executing the access
-                        # already counted it; a replayed one counts here.
-                        wg = thread.workgroup
-                        if replay and wg is not None:
-                            wg.slm_timing.accesses += 1
-                            wg.slm_timing.conflict_cycles += (
-                                aux - wg.slm_timing.latency)
-                        completion = now + aux
-                    else:
-                        completion = self.hierarchy.access(
-                            now, [(surface, line) for line in aux])
-                    if writes is not None:
-                        reg_ready = thread.scoreboard._reg_ready
-                        for reg in writes:
-                            if completion > reg_ready.get(reg, 0):
-                                reg_ready[reg] = completion
-                elif kind == _CTRL:
-                    if tel is not None:
-                        # Post-instruction mask population: the divergence
-                        # timeline.
-                        tel.ctrl_issue(now, inst, mask, inst.width)
-                elif kind == _EOT:
-                    thread.state = ThreadState.DONE
-                    threads[slot] = None
-                    self._free += 1
-                    self.threads_retired += 1
-                    if tel is not None:
-                        tel.thread_retired(now)
-                    if thread.workgroup is not None:
-                        thread.workgroup.thread_done(now)
-                else:  # _BARRIER; the thread resumes after it on release
-                    if tel is not None:
-                        tel.barrier(now)
+                        tel.counters.incr("scoreboard.flag_writes")
+                if tel is not None:
+                    tel.alu_issue(now, inst, mask, cycles, pipe.name, policy)
+                if sink is not None:
+                    sink.append(TraceEvent(width, mask, factor))
+            elif kind >= _SLM:
+                occupancy, writes, surface = data
+                send = pipes[pidx]
+                send.busy_until = now + occupancy
+                send.busy_cycles += occupancy
+                if tel is not None:
+                    tel.mem_issue(now, inst, mask, occupancy)
+                if mask == 0:
+                    completion = now + 1  # suppressed message
+                elif kind == _SLM:
+                    # aux: the bank-conflict cycles.  Executing the access
+                    # already counted it; a replayed one counts here.
                     wg = thread.workgroup
-                    if wg is not None:  # free-standing thread: a no-op
-                        thread.state = ThreadState.AT_BARRIER
-                        wg.arrive_barrier(thread, now, config.barrier_latency)
-                if prof is not None:
-                    prof.add_opcode(inst.opcode.name, time.perf_counter() - start)
-                issued += 1
-                last_issued = slot
-        finally:
-            if errstate is not None:
-                errstate.__exit__(None, None, None)
+                    if replay and wg is not None:
+                        wg.slm_timing.accesses += 1
+                        wg.slm_timing.conflict_cycles += (
+                            aux - wg.slm_timing.latency)
+                    completion = now + aux
+                else:
+                    completion = self.hierarchy.access(
+                        now, [(surface, line) for line in aux])
+                if writes is not None:
+                    reg_ready = thread.scoreboard._reg_ready
+                    for reg in writes:
+                        if completion > reg_ready.get(reg, 0):
+                            reg_ready[reg] = completion
+            elif kind == _CTRL:
+                if tel is not None:
+                    # Post-instruction mask population: the divergence
+                    # timeline.
+                    tel.ctrl_issue(now, inst, mask, inst.width)
+            elif kind == _EOT:
+                thread.state = ThreadState.DONE
+                threads[slot] = None
+                self._free += 1
+                self.threads_retired += 1
+                if tel is not None:
+                    tel.thread_retired(now)
+                if thread.workgroup is not None:
+                    thread.workgroup.thread_done(now)
+            else:  # _BARRIER; the thread resumes after it on release
+                if tel is not None:
+                    tel.barrier(now)
+                wg = thread.workgroup
+                if wg is not None:  # free-standing thread: a no-op
+                    thread.state = ThreadState.AT_BARRIER
+                    wg.arrive_barrier(thread, now, config.barrier_latency)
+            if prof is not None:
+                prof.add_opcode(inst.opcode.name, time.perf_counter() - start)
+            issued += 1
+            last_issued = slot
         if issued:
             self.instructions_issued += issued
             # Rotate past the last slot that actually issued, not past
@@ -474,19 +474,6 @@ class ExecutionUnit:
                     ready = r
         thread._ready_cache = ready
         return info
-
-    def _arbitration_order(self) -> List[int]:
-        orders = self._orders
-        if orders is None:
-            n = len(self.threads)
-            if self.config.arbiter == "fixed":
-                # ``_rr`` still rotates on issue but fixed priority
-                # ignores it: every pass scans from slot 0.
-                orders = [list(range(n))] * n
-            else:
-                orders = [[(r + i) % n for i in range(n)] for r in range(n)]
-            self._orders = orders
-        return orders[self._rr]
 
     def next_event(self, now: int) -> int:
         """Earliest future cycle at which this EU could issue something.
@@ -558,7 +545,8 @@ class ExecutionUnit:
 
         ALU and memory instructions run from their cached interp plans
         (:func:`~repro.eu.interp.alu_plan`, :func:`_mem_plan`), built on
-        first execution.  The caller holds ``np.errstate(all="ignore")``.
+        first execution.  The caller holds ``np.errstate(all="ignore")``
+        for the whole run (see :meth:`step`).
         """
         masks = thread.masks
         next_pc: Optional[int] = None

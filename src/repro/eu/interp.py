@@ -54,7 +54,7 @@ def execute_alu(
 
     Runs the instruction's cached plan (:func:`alu_plan`) under its own
     ``np.errstate``; the EU's scan calls :func:`run_alu` directly inside
-    the one ``errstate`` it enters per pass.
+    the one ``errstate`` the simulator enters per run.
 
     Args:
         inst: the instruction (must be an ALU opcode).

@@ -157,75 +157,85 @@ class GpuSimulator:
         # steppable again.
         skip_floors = collector is None
         all_dispatched = launch.all_dispatched
-        while True:
-            if not all_dispatched:
-                launch.dispatch(eus, now)
-                all_dispatched = launch.all_dispatched
-            progressed = False
-            for eu in eus:
-                if skip_floors:
-                    floor = eu._event_floor
-                    if floor is not None and now < floor:
-                        continue
-                if eu.step(now):
-                    progressed = True
-            if launch.done:
-                break
-            if progressed:
-                last_progress_cycle = now
-            elif (config.watchdog_cycles
-                  and now - last_progress_cycle > config.watchdog_cycles):
-                raise DeadlockError(
-                    f"kernel {program.name!r} issued no instruction for "
-                    f"{now - last_progress_cycle} cycles (watchdog_cycles="
-                    f"{config.watchdog_cycles}) with {launch.pending_workgroups} "
-                    f"workgroups undispatched and {launch.live_workgroups} live"
-                )
-            iterations += 1
-            if (self.wall_deadline is not None
-                    and iterations % _WALL_CHECK_PERIOD == 0
-                    and time.monotonic() > self.wall_deadline):
-                raise JobTimeoutError(
-                    f"kernel {program.name!r} exceeded its wall-clock budget "
-                    f"at cycle {now} ({launch.pending_workgroups} workgroups "
-                    f"undispatched)"
-                )
-            # Inlined min over ExecutionUnit.next_event: the align(now+1)
-            # term is identical for every EU, so min_e max(floor_e, t)
-            # == max(min_e floor_e, t) and one align suffices.
-            floor_min = NEVER
-            for eu in eus:
-                floor = eu._event_floor
-                if floor is None:
-                    floor = eu._event_floor = eu._compute_event_floor()
-                if floor < floor_min:
-                    floor_min = floor
-            period = config.issue_period
-            next_time = now + 1
-            rem = next_time % period
-            if rem:
-                next_time += period - rem
-            if floor_min > next_time:
-                next_time = floor_min
-            if not all_dispatched:
-                threads_per_wg = launch.threads_per_wg
+        # Interp executes inside this one error state: numpy's
+        # floating-point warnings stay off for the run (IEEE results, as
+        # the hardware gives), and the state is restored even if the
+        # loop raises.
+        with np.errstate(all="ignore"):
+            while True:
+                if not all_dispatched:
+                    launch.dispatch(eus, now)
+                    all_dispatched = launch.all_dispatched
+                progressed = False
                 for eu in eus:
-                    if eu._free >= threads_per_wg:
-                        if now + 1 < next_time:
-                            next_time = now + 1
+                    if skip_floors:
+                        floor = eu._event_floor
+                        if floor is not None and now < floor:
+                            continue
+                    if eu.step(now):
+                        progressed = True
+                if progressed:
+                    # Completion needs an EOT, which is an issue.
+                    if launch.done:
                         break
-            if next_time >= NEVER:
-                raise DeadlockError(
-                    f"kernel {program.name!r} stalled at cycle {now} with "
-                    f"{launch.pending_workgroups} workgroups pending"
-                )
-            if next_time <= now:
-                raise DeadlockError(f"event time went backwards at cycle {now}")
-            now = next_time
-            if now > config.max_cycles:
-                raise DeadlockError(
-                    f"kernel {program.name!r} exceeded max_cycles={config.max_cycles}"
-                )
+                    last_progress_cycle = now
+                elif (config.watchdog_cycles
+                      and now - last_progress_cycle > config.watchdog_cycles):
+                    raise DeadlockError(
+                        f"kernel {program.name!r} issued no instruction for "
+                        f"{now - last_progress_cycle} cycles (watchdog_cycles="
+                        f"{config.watchdog_cycles}) with "
+                        f"{launch.pending_workgroups} workgroups undispatched "
+                        f"and {launch.live_workgroups} live"
+                    )
+                iterations += 1
+                if (self.wall_deadline is not None
+                        and iterations % _WALL_CHECK_PERIOD == 0
+                        and time.monotonic() > self.wall_deadline):
+                    raise JobTimeoutError(
+                        f"kernel {program.name!r} exceeded its wall-clock "
+                        f"budget at cycle {now} ({launch.pending_workgroups} "
+                        f"workgroups undispatched)"
+                    )
+                # Inlined min over ExecutionUnit.next_event: the
+                # align(now+1) term is identical for every EU, so
+                # min_e max(floor_e, t) == max(min_e floor_e, t) and one
+                # align suffices.
+                floor_min = NEVER
+                for eu in eus:
+                    floor = eu._event_floor
+                    if floor is None:
+                        floor = eu._event_floor = eu._compute_event_floor()
+                    if floor < floor_min:
+                        floor_min = floor
+                period = config.issue_period
+                next_time = now + 1
+                rem = next_time % period
+                if rem:
+                    next_time += period - rem
+                if floor_min > next_time:
+                    next_time = floor_min
+                if not all_dispatched:
+                    threads_per_wg = launch.threads_per_wg
+                    for eu in eus:
+                        if eu._free >= threads_per_wg:
+                            if now + 1 < next_time:
+                                next_time = now + 1
+                            break
+                if next_time >= NEVER:
+                    raise DeadlockError(
+                        f"kernel {program.name!r} stalled at cycle {now} with "
+                        f"{launch.pending_workgroups} workgroups pending"
+                    )
+                if next_time <= now:
+                    raise DeadlockError(
+                        f"event time went backwards at cycle {now}")
+                now = next_time
+                if now > config.max_cycles:
+                    raise DeadlockError(
+                        f"kernel {program.name!r} exceeded "
+                        f"max_cycles={config.max_cycles}"
+                    )
 
         # Empty on the fast engine, which recorded its traces up front.
         fold_issue_counts(program, issue_counts, alu_stats, simd_stats)

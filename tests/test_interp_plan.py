@@ -4,8 +4,8 @@ An instruction's interp plan (``repro.eu.interp.alu_plan`` and the EU's
 memory plan) caches its resolved operands: GRF slot bounds, pre-broadcast
 immediates and the ALU formula.  These tests pin the hazards of reading
 and writing through those cached operands: overlapping registers, shared
-immediates, operand errors, and the numpy error state the scan enters
-once per arbitration pass.
+immediates, operand errors, and the numpy error state a run enters
+once.
 """
 
 import pickle
@@ -15,11 +15,15 @@ import numpy as np
 import pytest
 
 from repro.core.stats import CompactionStats
+from repro.dsl.kernels import dsl_clip
+from repro.dsl.reference import run_reference
+from repro.eu.batch import run_functional
 from repro.eu.eu import ExecutionUnit
 from repro.eu.grf import RegisterFile
 from repro.eu.interp import alu_plan, execute_alu
 from repro.eu.thread import EUThread
 from repro.gpu import GpuConfig, GpuSimulator
+from repro.gpu.dispatch import bind_surfaces
 from repro.isa.builder import KernelBuilder
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -222,7 +226,7 @@ class TestOperandErrors:
 
 
 class TestErrorState:
-    """The scan enters ``np.errstate`` once per pass and always leaves it;
+    """A run enters ``np.errstate`` once and always leaves it;
     a direct :func:`execute_alu` call keeps its own."""
 
     def _kernel(self, offset):
@@ -296,3 +300,56 @@ class TestErrorState:
         expected = np.where([(0xF00F >> i) & 1 for i in range(16)],
                             np.arange(16), -1.0)
         np.testing.assert_array_equal(grf.read(RegRef(2), 16), expected)
+
+
+class _CountingErrstate(np.errstate):
+    """``np.errstate`` that counts how often it is entered."""
+
+    enters = 0
+
+    def __enter__(self):
+        type(self).enters += 1
+        return super().__enter__()
+
+
+class TestErrorStateEntries:
+    """Each run enters numpy's error state once, not once per pass,
+    per ALU group or per operator."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        monkeypatch.setattr(_CountingErrstate, "enters", 0)
+        monkeypatch.setattr(np, "errstate", _CountingErrstate)
+        return _CountingErrstate
+
+    def _program_and_buffers(self):
+        program = TestErrorState()._kernel(0)
+        buffers = {"src": np.ones(64, np.float32),
+                   "out": np.zeros(64, np.float32)}
+        return program, buffers
+
+    def test_interp_launch_enters_once(self, count):
+        program, buffers = self._program_and_buffers()
+        result = GpuSimulator(GpuConfig(engine="interp")).run(
+            program, 64, buffers=buffers)
+        # Many issuing passes, one error-state entry.
+        assert result.instructions > 20
+        assert count.enters == 1
+        np.testing.assert_array_equal(buffers["out"], 1.0)
+
+    def test_fast_functional_pass_enters_once(self, count):
+        program, buffers = self._program_and_buffers()
+        traces = run_functional(program, 64, 64,
+                                bind_surfaces(program, buffers), {},
+                                GpuConfig(engine="fast"))
+        assert sum(len(t) for t in traces) > 20
+        assert count.enters == 1
+        np.testing.assert_array_equal(buffers["out"], 1.0)
+
+    def test_dsl_reference_enters_once(self, count):
+        trace, _params = dsl_clip.trace()
+        x = np.linspace(-1.0, 2.0, 64, dtype=np.float32)
+        buffers = {"x": x, "y": np.zeros(64, np.float32)}
+        run_reference(trace, buffers, {"s": 2.0}, 64)
+        assert count.enters == 1
+        assert np.isnan(buffers["y"][0])  # sqrt of a negative, unwarned

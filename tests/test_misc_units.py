@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core.policy import CompactionPolicy
+from repro.core.stats import CompactionStats
+from repro.eu.eu import ExecutionUnit
 from repro.eu.grf import RegisterFile
 from repro.eu.thread import EUThread, ThreadState
 from repro.gpu import GpuConfig, GpuSimulator
@@ -48,6 +50,40 @@ class TestArbiterPolicies:
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError, match="arbiter"):
             GpuConfig(arbiter="lottery").validate()
+
+    @staticmethod
+    def _issuers(arbiter, passes=6):
+        """Slot that issues on each of the first *passes* passes of a
+        single-issue EU with ready threads in slots 0 and 3."""
+        b = KernelBuilder("movs", 16)
+        for _ in range(8):
+            b.mov(b.vreg(DType.F32), 1.5)  # distinct registers: no stalls
+        program = b.finish()
+        eu = ExecutionUnit(0, GpuConfig(num_eus=1, issue_width=1,
+                                        arbiter=arbiter),
+                           MemoryHierarchy(MemoryParams()),
+                           CompactionStats(), CompactionStats())
+        threads = {0: EUThread(0, program, 0xFFFF),
+                   3: EUThread(1, program, 0xFFFF)}
+        for slot, thread in threads.items():
+            eu.threads[slot] = thread
+        issuers = []
+        now = 0
+        for _ in range(passes):
+            before = {s: t.instructions_executed for s, t in threads.items()}
+            assert eu.step(now) == 1
+            issuers += [s for s, t in threads.items()
+                        if t.instructions_executed > before[s]]
+            now = eu.next_event(now)
+        return issuers
+
+    def test_fixed_priority_always_favours_slot_zero(self):
+        # The rotating pointer still moves on every issue; the fixed
+        # arbiter's orders must ignore it.
+        assert self._issuers("fixed") == [0] * 6
+
+    def test_rotating_priority_alternates(self):
+        assert self._issuers("rotating") == [0, 3] * 3
 
 
 class TestPipeUtilization:
