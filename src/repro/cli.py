@@ -84,6 +84,14 @@ def _runner_from_args(args, progress=False):
                   retries=getattr(args, "retries", 2))
 
 
+def _budget(text: str) -> int:
+    """argparse type of ``--retries``/``--max-retries``: an int >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_runner_flags(parser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for simulations (default 1)")
@@ -95,7 +103,7 @@ def _add_runner_flags(parser) -> None:
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-job wall-clock budget in seconds; hung "
                              "jobs die with a timeout error (default: none)")
-    parser.add_argument("--retries", type=int, default=2, metavar="N",
+    parser.add_argument("--retries", type=_budget, default=2, metavar="N",
                         help="retries for transient worker failures "
                              "(default 2); deterministic failures — "
                              "deadlock, verification, timeout — never retry")
@@ -789,7 +797,7 @@ def _cmd_client(args) -> int:
 
     client = ServeClient(host=args.host, port=args.port,
                          client_id=args.client_id,
-                         max_retries=0 if args.no_retry else args.max_retries)
+                         max_retries=args.max_retries)
 
     def emit(body: Any, path: Optional[str] = None) -> None:
         text = json.dumps(body, indent=2, sort_keys=True)
@@ -843,7 +851,7 @@ def _cmd_worker(args) -> int:
 
     client = ServeClient(host=args.host, port=args.port,
                          timeout=max(args.poll_wait + 30.0, 60.0),
-                         max_retries=0 if args.no_retry else args.max_retries)
+                         max_retries=args.max_retries)
     worker = ServeWorker(
         client,
         name=args.name,
@@ -1067,12 +1075,10 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--client-id", default="",
                         help="client identity sent as X-Repro-Client "
                              "(rate limits apply per identity)")
-    client.add_argument("--max-retries", type=int, default=3, metavar="N",
+    client.add_argument("--max-retries", type=_budget, default=3, metavar="N",
                         help="transparent retries for transient failures — "
-                             "connection reset, 429, 503 (default 3)")
-    client.add_argument("--no-retry", action="store_true",
-                        help="fail fast on transient errors (same as "
-                             "--max-retries 0)")
+                             "connection reset, 429, 503 (default 3; 0 "
+                             "fails fast)")
     csub = client.add_subparsers(dest="action", required=True)
 
     submit = csub.add_parser("submit", help="submit one job")
@@ -1154,11 +1160,9 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SEC",
                         help="exit 7 if the daemon is never reachable for "
                              "SEC seconds (default 60)")
-    worker.add_argument("--max-retries", type=int, default=3, metavar="N",
+    worker.add_argument("--max-retries", type=_budget, default=3, metavar="N",
                         help="transparent retries for transient failures "
-                             "(default 3)")
-    worker.add_argument("--no-retry", action="store_true",
-                        help="fail fast on transient errors")
+                             "(default 3; result posts retry on their own)")
     return parser
 
 

@@ -26,10 +26,10 @@ so parallel and cached runs are bit-identical to serial cold runs.
 
 The engine is also *fault-tolerant* (a multi-hour regeneration pass must
 survive a single bad job): per-job wall-clock timeouts backed by the
-simulator's own watchdog, bounded retry with exponential backoff for
-transient worker failures, graceful degradation from the process pool to
-in-process serial execution when the pool breaks, crash-safe cache
-writes with quarantine of corrupted entries, and a
+simulator's own watchdog, bounded retry on the :mod:`repro.retry`
+schedule for transient worker failures, graceful degradation from the
+process pool to in-process serial execution when the pool breaks,
+crash-safe cache writes with quarantine of corrupted entries, and a
 :class:`CheckpointJournal` that lets ``repro sweep --resume`` skip
 already-completed jobs after a crash or Ctrl-C.  Failures are typed
 (:mod:`repro.errors`) and surface per-job in :class:`RunStats`.
@@ -54,6 +54,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from . import retry
 from .errors import (
     CacheCorruptionError,
     CodeSaltMismatchError,
@@ -581,12 +582,9 @@ class Runner:
             watchdog; pool workers that still overrun (hung host code)
             are killed from the parent after an additional grace period.
         retries: bounded retry count for *transient* failures (worker
-            crashes, unclassified worker exceptions).  Typed
-            deterministic failures — deadlock, verification, timeout —
-            are never retried.
-        retry_backoff: base of the exponential backoff between retry
-            attempts (``retry_backoff * 2**(attempt-1)`` seconds; 0
-            disables sleeping, which tests use).
+            crashes, unclassified worker exceptions), paced by
+            :mod:`repro.retry`.  Typed deterministic failures —
+            deadlock, verification, timeout — are never retried.
         strict: when True (default), :meth:`run` re-raises the first
             job failure after the batch drains; when False it returns
             the successful results and leaves failures in
@@ -604,7 +602,6 @@ class Runner:
         progress: Optional[Callable[[JobEvent], None]] = None,
         timeout: Optional[float] = None,
         retries: int = 2,
-        retry_backoff: float = 0.5,
         strict: bool = True,
         timeout_grace: Optional[float] = None,
     ) -> None:
@@ -626,13 +623,10 @@ class Runner:
             raise ValueError("timeout must be positive (or None)")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
         self.verify = verify
         self.progress = progress
         self.timeout = timeout
         self.retries = retries
-        self.retry_backoff = retry_backoff
         self.strict = strict
         self.timeout_grace = timeout_grace
         self.last_stats = RunStats()
@@ -745,19 +739,18 @@ class Runner:
         stats.failures[job.key] = error
         emit(job, "failed", elapsed, error=error, queue_wait=queue_wait)
 
-    def _retry_at(self, attempt: int) -> float:
-        """Monotonic time at which retry *attempt* (1-based) of a job
-        that failed just now may start."""
-        return time.monotonic() + self.retry_backoff * (2 ** (attempt - 1))
-
     def _grace_seconds(self) -> float:
         if self.timeout_grace is not None:
             return self.timeout_grace
         return max(2.0, self.timeout or 0.0)
 
     def _run_serial(self, jobs: List[Job], results, stats, emit,
-                    queued_since: Optional[float] = None) -> None:
+                    queued_since: Optional[float] = None,
+                    attempts: Optional[Dict[str, int]] = None) -> None:
         """Run *jobs* in-process, one policy group at a time.
+
+        *attempts* maps a job key to the retries it already spent in a
+        pool that broke, so the budget covers all of a job's runs.
 
         Jobs of a group share a :class:`~repro.eu.batch.FunctionalMemo`,
         so the fast engine makes each launch's functional pass once and
@@ -772,7 +765,7 @@ class Runner:
             try:
                 for job in group:
                     self._run_local(job, results, stats, emit, queued_since,
-                                    memo)
+                                    memo, (attempts or {}).get(job.key, 0))
             finally:
                 stats.functional_passes += memo.passes
                 stats.functional_reused += memo.reused
@@ -780,14 +773,13 @@ class Runner:
 
     def _run_local(self, job: Job, results, stats, emit,
                    queued_since: Optional[float] = None,
-                   memo=None) -> None:
+                   memo=None, attempt: int = 0) -> None:
         from .kernels.workload import run_workload
 
         # Time spent behind earlier jobs of this batch, measured up to
         # the moment execution (first attempt) begins.
         queue_wait = (max(0.0, time.monotonic() - queued_since)
                       if queued_since is not None else 0.0)
-        attempt = 0
         while True:
             tick = time.perf_counter()
             try:
@@ -798,7 +790,7 @@ class Runner:
                 error = self._failure(job, exc, attempt, stats)
                 if error is None:
                     attempt += 1
-                    _sleep_until(self._retry_at(attempt))
+                    retry.sleep(retry.delay(attempt))
                     continue
                 self._fail(job, error, stats, emit,
                            time.perf_counter() - tick, queue_wait)
@@ -816,7 +808,7 @@ class Runner:
         :class:`SimulationError` fails the job at once.  Anything else
         is retried while retries remain (*attempts* counts those already
         spent), then fails as a :class:`WorkerCrashError`.  The caller
-        owns the backoff before the retry (:meth:`_retry_at`).
+        owns the wait before the retry (:func:`repro.retry.delay`).
         """
         if isinstance(exc, SimulationError):
             return exc
@@ -838,9 +830,10 @@ class Runner:
         back for the next round (bounded by ``retries``).  If a round's
         pool breaks — a worker was OOM-killed, segfaulted, or had to be
         terminated for overrunning its deadline — execution degrades to
-        in-process serial for whatever is left.  A round never sleeps:
-        the retry backoff its failures owe is waited out between rounds,
-        so siblings keep finishing and starting meanwhile.
+        in-process serial for whatever is left, each job keeping the
+        retries it spent.  A round never sleeps: the retry delay its
+        failures owe is waited out between rounds, so siblings keep
+        finishing and starting meanwhile.
         """
         remaining = list(named)
         attempt = {job.key: 0 for job in named}
@@ -849,11 +842,13 @@ class Runner:
         while remaining:
             remaining, pool_died, retry_at = self._pool_round(
                 remaining, attempt, results, stats, emit, queued_at)
-            _sleep_until(retry_at)
+            owed = retry_at - time.monotonic()
+            if owed > 0:
+                retry.sleep(owed)
             if pool_died and remaining:
                 stats.degraded += 1
-                for job in remaining:
-                    self._run_local(job, results, stats, emit, queued_at)
+                self._run_serial(remaining, results, stats, emit, queued_at,
+                                 attempt)
                 return
             # Retry rounds measure waiting from the moment the jobs
             # became runnable again, not from the original batch start.
@@ -863,8 +858,8 @@ class Runner:
                     results, stats, emit,
                     queued_at: float) -> Tuple[List[Job], bool, float]:
         """One process-pool pass; returns (jobs to rerun, pool died?,
-        the monotonic time the retried jobs' backoff runs out)."""
-        retry: List[Job] = []
+        the monotonic time the retried jobs' delay runs out)."""
+        rerun: List[Job] = []
         retry_at = 0.0
         broken = False
         workers = min(self.workers, len(jobs))
@@ -906,15 +901,15 @@ class Runner:
                         result = future.result()
                     except BrokenProcessPool:
                         broken = True
-                        retry.append(job)
+                        rerun.append(job)
                     except Exception as exc:
                         error = self._failure(job, exc, attempt[job.key],
                                               stats)
                         if error is None:
                             attempt[job.key] += 1
-                            retry.append(job)
-                            retry_at = max(retry_at,
-                                           self._retry_at(attempt[job.key]))
+                            rerun.append(job)
+                            retry_at = max(retry_at, time.monotonic()
+                                           + retry.delay(attempt[job.key]))
                         else:
                             self._fail(job, error, stats, emit, elapsed,
                                        queue_wait)
@@ -927,9 +922,9 @@ class Runner:
                     # The pool manager saw a worker die: every future
                     # still outstanding is lost with it, as is anything
                     # not yet submitted.
-                    retry.extend(futures[f] for f in outstanding)
-                    retry.extend(queue)
-                    return retry, True, retry_at
+                    rerun.extend(futures[f] for f in outstanding)
+                    rerun.extend(queue)
+                    return rerun, True, retry_at
                 if deadline is not None and outstanding:
                     # Every outstanding future holds a worker (throttled
                     # submission), so its clock measures execution, not
@@ -951,12 +946,12 @@ class Runner:
                                 stats, emit, now - started[future],
                                 waited[future])
                         overdue_set = set(overdue)
-                        retry.extend(futures[f] for f in outstanding
+                        rerun.extend(futures[f] for f in outstanding
                                      if f not in overdue_set)
-                        retry.extend(queue)
+                        rerun.extend(queue)
                         broken = True
                         self._terminate_pool(pool)
-                        return retry, True, retry_at
+                        return rerun, True, retry_at
         except KeyboardInterrupt:
             broken = True
             for future in futures:
@@ -964,7 +959,7 @@ class Runner:
             raise
         finally:
             self._shutdown_pool(pool, wait_for_workers=not broken)
-        return retry, False, retry_at
+        return rerun, False, retry_at
 
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -983,13 +978,6 @@ class Runner:
             pool.shutdown(wait=wait_for_workers, cancel_futures=True)
         except Exception:  # pragma: no cover - broken pools may complain
             pass
-
-
-def _sleep_until(when: float) -> None:
-    """Sleep until monotonic time *when* (no-op once it has passed)."""
-    delay = when - time.monotonic()
-    if delay > 0:
-        time.sleep(delay)
 
 
 # ---------------------------------------------------------------------------

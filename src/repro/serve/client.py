@@ -8,25 +8,26 @@ daemon's error message, and :meth:`ServeClient.watch` polls a job to a
 terminal state.
 
 Transient failures are retried *transparently*: connection resets and
-refusals (``OSError``), 429 rate limiting, and 503 backpressure back
-off with exponential, decorrelated jitter — honoring the daemon's
-``Retry-After`` header when one is sent — up to ``max_retries``
-attempts before the typed error propagates.  Deterministic errors
-(400/404/409/412, including fence rejections, cache misses, and
-code-salt skew) never retry.  Submissions are
-safe to retry because identical submissions dedup onto one execution
-daemon-side (at-least-once posting, exactly-once execution).
+refusals (``OSError``), 429 rate limiting, and 503 backpressure wait
+out the :mod:`repro.retry` schedule — or the daemon's ``Retry-After``
+header when one is sent — up to ``max_retries`` times before the typed
+error propagates.  Deterministic errors (400/404/409/412, including
+fence rejections, cache misses, and code-salt skew) never retry.
+Submissions are safe to retry because identical submissions dedup onto
+one execution daemon-side (at-least-once posting, exactly-once
+execution).  :meth:`ServeClient.post_result` alone is sent once: the
+worker's post loop is the one retry layer for results.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import random
 import time
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import quote
 
+from .. import retry
 from ..errors import CacheMissError, ServiceError
 
 #: Poll period for :meth:`ServeClient.watch` (seconds).
@@ -34,8 +35,8 @@ WATCH_INTERVAL = 0.25
 
 TERMINAL = ("done", "failed", "cancelled")
 
-#: HTTP statuses worth retrying: backpressure, not failure.
-RETRYABLE_STATUSES = (429, 503)
+#: Statuses worth retrying: transport loss (0) and backpressure.
+RETRYABLE_STATUSES = (0, 429, 503)
 
 
 class ServeClientError(ServiceError):
@@ -53,16 +54,14 @@ class ServeClient:
     """One daemon endpoint (``host:port``), one request per call.
 
     Args:
-        max_retries: transient-failure retries per request (0 disables;
-            the ``repro client``/``repro worker`` ``--no-retry`` flag).
-        retry_base: floor of the decorrelated-jitter backoff (seconds).
-        retry_cap: ceiling of any single backoff sleep (seconds).
+        max_retries: transient-failure retries per request, each waiting
+            out the :mod:`repro.retry` schedule (0 fails fast; the
+            ``--max-retries`` flag of ``repro client``/``repro worker``).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8642,
                  client_id: str = "", timeout: float = 30.0,
-                 max_retries: int = 3, retry_base: float = 0.1,
-                 retry_cap: float = 2.0) -> None:
+                 max_retries: int = 3) -> None:
         self.host = host
         self.port = port
         self.client_id = client_id
@@ -70,12 +69,8 @@ class ServeClient:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.max_retries = max_retries
-        self.retry_base = retry_base
-        self.retry_cap = retry_cap
         #: Transient-failure retries performed over this client's life.
         self.retries_attempted = 0
-        self._rng = random.Random()
-        self._sleep = time.sleep  # test seam
 
     # -- transport ---------------------------------------------------------
 
@@ -114,25 +109,20 @@ class ServeClient:
         its own startup loop).  Typed error on non-2xx responses.
         """
         budget = self.max_retries if retries is None else retries
-        sleep = self.retry_base
         attempt = 0
         while True:
-            retry_after = None
             try:
                 status, payload, retry_after = self._once(method, path, body)
             except OSError as exc:
-                if attempt < budget:
-                    attempt += 1
-                    self.retries_attempted += 1
-                    sleep = self._backoff(sleep, None)
-                    continue
-                raise ServeClientError(
-                    0, f"cannot reach repro serve at "
-                       f"{self.host}:{self.port}: {exc}") from exc
+                if attempt >= budget:
+                    raise ServeClientError(
+                        0, f"cannot reach repro serve at "
+                           f"{self.host}:{self.port}: {exc}") from exc
+                status, retry_after = 0, None
             if status in RETRYABLE_STATUSES and attempt < budget:
                 attempt += 1
                 self.retries_attempted += 1
-                sleep = self._backoff(sleep, retry_after)
+                retry.sleep(retry.delay(attempt, retry_after))
                 continue
             if status >= 400:
                 message = (payload.get("error", f"HTTP {status}")
@@ -140,22 +130,6 @@ class ServeClient:
                 raise ServeClientError(status, message,
                                        retry_after=retry_after)
             return payload
-
-    def _backoff(self, sleep: float,
-                 retry_after: Optional[float]) -> float:
-        """Sleep before a retry; returns the next backoff state.
-
-        Decorrelated jitter (``sleep = uniform(base, 3 * sleep)``,
-        capped) spreads a fleet's retries instead of synchronizing
-        them; an explicit ``Retry-After`` from the daemon wins.
-        """
-        if retry_after is not None:
-            delay = min(max(0.0, retry_after), 30.0)
-        else:
-            delay = sleep
-        self._sleep(delay)
-        return min(self.retry_cap,
-                   self._rng.uniform(self.retry_base, 3.0 * sleep))
 
     # -- endpoints ---------------------------------------------------------
 
@@ -206,7 +180,8 @@ class ServeClient:
                     result: Dict[str, Any], exec_seconds: float = 0.0,
                     cache: Optional[Dict[str, Any]] = None
                     ) -> Dict[str, Any]:
-        """Publish a finished job's typed result payload.
+        """Publish a finished job's typed result payload, once (the
+        worker's post loop retries it).
 
         *cache*, when given, is either a reference ``{"digest": ...}``
         to the entry the worker already published (404 when the
@@ -220,7 +195,8 @@ class ServeClient:
                                 "exec_seconds": exec_seconds}
         if cache is not None:
             body["cache"] = cache
-        return self.request("POST", f"/work/{job_id}/result", body=body)
+        return self.request("POST", f"/work/{job_id}/result", body=body,
+                            retries=0)
 
     # -- fleet-shared cache endpoints --------------------------------------
 

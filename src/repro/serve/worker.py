@@ -49,6 +49,7 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
+from .. import retry
 from ..errors import ServiceError, SimulationError, describe, exit_code_for
 from .client import ServeClient, ServeClientError
 from .jobs import JobSpec, JobState, result_blob, result_payload
@@ -60,11 +61,13 @@ CHAOS_ENV = "REPRO_WORKER_CHAOS"
 #: base64 expansion would blow the daemon's request body bound.
 MAX_BLOB_BYTES = 6 << 20
 
-#: Result-post failures worth retrying at the worker level (on top of
-#: the client's per-request transparent retry): transport loss (status
-#: 0) and server-side transient conditions.  Deterministic rejections
+#: Result-post failures worth retrying (the client sends a result post
+#: once, so this is its only retry layer): transport loss (status 0)
+#: and server-side transient conditions.  Deterministic rejections
 #: (400, 404, 409 fence, 412 salt) never burn a retry.
 RETRY_POST_STATUSES = (0, 429, 500, 502, 503)
+#: Retries of one result post, on the :mod:`repro.retry` schedule.
+RESULT_POST_RETRIES = 8
 
 
 class ChaosHooks:
@@ -169,8 +172,9 @@ class ServeWorker:
     """One fleet worker: lease, heartbeat, execute, publish, repeat.
 
     Args:
-        client: transport to the daemon (its transparent retry policy
-            rides along for every lease/heartbeat/result post).
+        client: transport to the daemon (its transparent retry covers
+            every request except the result post, which
+            :meth:`_post_result` retries itself).
         name: fleet-unique worker identity (defaults to
             ``<hostname>-<pid>``); the daemon keys leases, fences, and
             per-worker metrics by it.
@@ -184,10 +188,6 @@ class ServeWorker:
             wait forever).
         startup_timeout: exit 7 if the daemon was never reachable for
             this long.
-        result_post_retries: bounded worker-level retries of a failed
-            result post (the worker keeps heartbeating throughout, so
-            the lease survives a daemon blip instead of burning an
-            assignment on a fully-computed result).
         chaos: fault hooks; defaults to ``$REPRO_WORKER_CHAOS``.
     """
 
@@ -197,7 +197,6 @@ class ServeWorker:
                  exit_on_drain: bool = False,
                  idle_exit: Optional[float] = None,
                  startup_timeout: float = 60.0,
-                 result_post_retries: int = 8,
                  chaos: Optional[ChaosHooks] = None,
                  log=None) -> None:
         self.client = client
@@ -208,7 +207,6 @@ class ServeWorker:
         self.exit_on_drain = exit_on_drain
         self.idle_exit = idle_exit
         self.startup_timeout = startup_timeout
-        self.result_post_retries = max(0, int(result_post_retries))
         self.chaos = chaos if chaos is not None else ChaosHooks.from_env()
         self.log = log if log is not None else self._log_stderr
         self.completed = 0
@@ -220,7 +218,6 @@ class ServeWorker:
         self.published = 0
         self._connected = False
         self._stop = threading.Event()
-        self._sleep = time.sleep  # test seam (result-post retry backoff)
 
     def _log_stderr(self, message: str) -> None:
         print(f"worker {self.name}: {message}", file=sys.stderr, flush=True)
@@ -398,13 +395,15 @@ class ServeWorker:
         """Deliver a computed result; bounded retry on transport loss.
 
         A fully-computed result is too expensive to drop on a daemon
-        blip: transient post failures retry (decaying backoff, the
-        heartbeater keeping the lease alive meanwhile) until the post
-        lands, we are fenced out, the job turns terminal elsewhere, or
-        the retry budget runs dry.  Deterministic rejections — 409
-        (stale fence) and 400 — drop immediately; a 412 means the
-        *cache blob* crossed a simulator-version boundary, so the post
-        is retried once without it (the JSON payload is still valid).
+        blip: transient post failures retry on the :mod:`repro.retry`
+        schedule or the daemon's ``Retry-After`` (the heartbeater keeping
+        the lease alive meanwhile) until the post lands, we are fenced
+        out, the job turns terminal elsewhere, or the
+        :data:`RESULT_POST_RETRIES` budget runs dry.  Deterministic
+        rejections — 409 (stale fence) and 400 — drop immediately; a
+        412 means the *cache blob* crossed a simulator-version boundary,
+        so the post is retried once without it (the JSON payload is
+        still valid).
 
         With *published*, the post names the entry the worker published
         by digest instead of carrying the *cache* blob; a 404 (the
@@ -418,7 +417,6 @@ class ServeWorker:
         delivered = False
         for duplicate in range(posts):
             attempt = 0
-            delay = 0.2
             while True:
                 if beater is not None and beater.fenced:
                     self.fenced_drops += 1
@@ -452,13 +450,12 @@ class ServeWorker:
                                  f"daemon; dropping post")
                         return delivered
                     if (exc.status in RETRY_POST_STATUSES
-                            and attempt < self.result_post_retries):
+                            and attempt < RESULT_POST_RETRIES):
                         attempt += 1
                         self.log(f"job {job_id}: result post failed "
                                  f"({exc}); retry "
-                                 f"{attempt}/{self.result_post_retries}")
-                        self._sleep(delay)
-                        delay = min(2.0, delay * 2.0)
+                                 f"{attempt}/{RESULT_POST_RETRIES}")
+                        retry.sleep(retry.delay(attempt, exc.retry_after))
                         continue
                     self.failed += 1
                     self.log(f"job {job_id}: result post failed "

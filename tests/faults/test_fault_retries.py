@@ -1,9 +1,11 @@
 """Retry, degradation, and interrupt behaviour of the runner under faults."""
 
+import random
 import time
 
 import pytest
 
+from repro import retry
 from repro.errors import (
     DeadlockError,
     JobTimeoutError,
@@ -14,9 +16,16 @@ from repro.gpu.config import GpuConfig
 from repro.runner import Job, Runner
 
 
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """Retry waits are recorded, not slept."""
+    recorded = []
+    monkeypatch.setattr(retry, "sleep", recorded.append)
+    return recorded
+
+
 def _runner(**kwargs):
     kwargs.setdefault("cache", False)
-    kwargs.setdefault("retry_backoff", 0.0)  # tests never sleep
     return Runner(**kwargs)
 
 
@@ -43,12 +52,14 @@ class TestSerialRetry:
         assert runner.last_stats.failed == 0
         assert marker.exists()  # the first attempt really did crash
 
-    def test_exhausted_retries_become_worker_crash(self, monkeypatch):
+    def test_exhausted_retries_become_worker_crash(self, monkeypatch,
+                                                   sleeps):
         monkeypatch.delenv("REPRO_FAULT_MARKER", raising=False)
         runner = _runner(workers=1, retries=1, strict=False)
         results = runner.run([Job("fault_crash")])  # crashes every attempt
         assert results == {}
         assert runner.last_stats.retried == 1
+        assert len(sleeps) == 1 and 0.1 <= sleeps[0] <= 0.2  # retry 1
         assert runner.last_stats.failed == 1
         error = next(iter(runner.last_stats.failures.values()))
         assert isinstance(error, WorkerCrashError)
@@ -114,6 +125,29 @@ class TestPoolFaults:
         assert runner.last_stats.degraded == 1
         assert runner.last_stats.failed == 0
 
+    def test_degradation_keeps_spent_retries(self, tmp_path, monkeypatch):
+        # Regression: the serial fallback after a pool break restarted
+        # every job's retry count at zero, so with retries=1 the
+        # always-raising job ran three times (retried == 2) while its
+        # error said "after 2 attempt(s)".  The 0.5 s sleeper holds the
+        # second worker, so the pool breaks only after the raising job
+        # has spent its retry there.
+        monkeypatch.delenv("REPRO_FAULT_MARKER", raising=False)
+        monkeypatch.delenv("REPRO_FAULT_MODE", raising=False)
+        runner = _runner(workers=2, retries=1, strict=False)
+        crash = Job("fault_crash", params={"mode": "raise"})
+        jobs = [crash, Job("fault_sleep", params={"seconds": 0.5}),
+                Job("fault_crash", params={
+                    "mode": "exit", "marker": str(tmp_path / "killed")})]
+        results = runner.run(jobs)
+        stats = runner.last_stats
+        assert stats.degraded == 1
+        assert stats.retried == 1
+        assert set(results) == set(jobs[1:])
+        error = stats.failures[crash.key]
+        assert isinstance(error, WorkerCrashError)
+        assert "after 2 attempt(s)" in str(error)
+
     def test_transient_raise_retried_within_pool(self, tmp_path,
                                                  monkeypatch):
         marker = tmp_path / "raised"
@@ -167,15 +201,20 @@ class TestPoolFaults:
         # The backoff is now waited out between rounds.
         monkeypatch.delenv("REPRO_FAULT_MARKER", raising=False)
         monkeypatch.delenv("REPRO_FAULT_MODE", raising=False)
-        backoff = 2.0
+        # Real sleeps, a 2 s base and a seeded draw: the one retry owes
+        # min(2.0, 2.0) * U(0.5, 1.0) = 1.639... s exactly.
+        monkeypatch.setattr(retry, "sleep", time.sleep)
+        monkeypatch.setattr(retry, "BASE", 2.0)
+        monkeypatch.setattr(retry, "rng", random.Random(42))
+        backoff = 2.0 * 0.8197133992289418
         executed = []
 
         def hook(event):
             if event.status == "executed":
                 executed.append(time.monotonic())
 
-        runner = Runner(workers=2, cache=False, retries=1,
-                        retry_backoff=backoff, strict=False, progress=hook)
+        runner = Runner(workers=2, cache=False, retries=1, strict=False,
+                        progress=hook)
         jobs = [Job("fault_crash")] + [
             Job("fault_sleep", params={"seconds": 0.3 + i / 1000})
             for i in range(3)]
@@ -222,7 +261,7 @@ class TestInterrupt:
         # headroom over va's ~0.3s runtime so a loaded machine doesn't
         # spuriously time the real job out.
         runner = Runner(workers=1, cache=ResultCache(tmp_path),
-                        retry_backoff=0.0, timeout=2.0, strict=False)
+                        timeout=2.0, strict=False)
         runner.run([Job("va"), Job("fault_spin")])
         # va cached; the fault job left nothing behind.
         names = [p.name for p in tmp_path.glob("*/*/*.pkl")]

@@ -317,3 +317,31 @@ class TestProfileWiden:
 
         assert scc(wide_out) > scc(base_out)
         assert "widened x4" in wide_out
+
+
+class TestRetryBudgetFlags:
+    """Regression: a negative budget reached ``Runner``/``ServeClient``
+    and died with a raw ``ValueError`` traceback; argparse now rejects
+    it with its usage message and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--workloads", "va", "--retries", "-1"],
+        ["serve", "--retries", "-1"],
+        ["client", "--max-retries", "-1", "health"],
+        ["worker", "--max-retries", "-1"],
+        ["client", "--max-retries", "two", "health"],
+    ])
+    def test_bad_budget_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro ")
+        assert "expected a non-negative integer" in err
+        assert "Traceback" not in err
+
+    def test_no_retry_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["client", "--no-retry", "health"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --no-retry" in capsys.readouterr().err

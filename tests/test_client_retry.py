@@ -3,17 +3,19 @@
 A scripted flaky HTTP server (real sockets, stdlib ``http.server``)
 answers each request per a script — connection reset, 429/503 with or
 without ``Retry-After``, then success — proving the client retries
-transient failures with jittered backoff, honors the daemon's
-``Retry-After`` hint, never retries deterministic errors, and fails
-fast under ``--no-retry`` (``max_retries=0``).
+transient failures on the :mod:`repro.retry` schedule, honors the
+daemon's ``Retry-After`` hint, never retries deterministic errors, and
+fails fast under ``--max-retries 0`` (``max_retries=0``).
 """
 
 import http.server
 import json
+import random
 import threading
 
 import pytest
 
+from repro import retry
 from repro.serve.client import ServeClient, ServeClientError
 
 
@@ -48,7 +50,7 @@ class _FlakyHandler(http.server.BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def flaky():
+def flaky(monkeypatch):
     """A scripted server; yields (server, make_client)."""
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0),
                                              _FlakyHandler)
@@ -58,12 +60,12 @@ def flaky():
     thread.start()
 
     sleeps = []
+    monkeypatch.setattr(retry, "sleep", sleeps.append)  # no real waiting
 
     def make_client(**kwargs):
         kwargs.setdefault("timeout", 5.0)
         client = ServeClient(host="127.0.0.1",
                              port=server.server_address[1], **kwargs)
-        client._sleep = sleeps.append  # no real waiting in tests
         client.sleeps = sleeps
         return client
 
@@ -161,13 +163,26 @@ class TestDeterministicErrorsNeverRetry:
 
 
 class TestBackoffShape:
-    def test_decorrelated_jitter_bounds(self, flaky):
-        """Each backoff draw lands in [base, cap]; sleeps grow from the
-        base (first sleep IS the base) and never exceed the cap."""
+    def test_jittered_exponential_schedule(self, flaky, monkeypatch):
+        """Retry n sleeps min(2, 0.2 * 2**(n-1)) * U(0.5, 1): under a
+        seeded RNG the six sleeps are exact."""
         server, make_client = flaky
         server.script = [("503", None)] * 6 + [("200", None)]
-        client = make_client(max_retries=6, retry_base=0.05, retry_cap=0.4)
-        client._rng.seed(42)
+        monkeypatch.setattr(retry, "rng", random.Random(42))
+        client = make_client(max_retries=6)
         assert client.request("GET", "/healthz")["ok"] is True
-        assert client.sleeps[0] == 0.05
-        assert all(0.05 <= s <= 0.4 for s in client.sleeps)
+        assert client.sleeps == [
+            0.16394267984578836, 0.20500215104453343, 0.5100117273476478,
+            0.9785685905190583, 1.7364712141640124, 1.6766994874229113]
+
+    def test_result_post_is_sent_once(self, flaky):
+        """The worker's post loop is the one retry layer for results,
+        so the client sends a result post without its own retry."""
+        server, make_client = flaky
+        server.script = [("503", None), ("200", None)]
+        client = make_client(max_retries=3)
+        with pytest.raises(ServeClientError) as info:
+            client.post_result("j1", "w", 1, {"schema": 1})
+        assert info.value.status == 503
+        assert server.hits == 1
+        assert client.sleeps == []

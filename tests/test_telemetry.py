@@ -295,8 +295,7 @@ class TestRunnerIntegration:
         from repro.runner import Job, ResultCache, Runner
 
         config = GpuConfig(policy=CompactionPolicy.SCC).with_telemetry("trace")
-        runner = Runner(workers=1, cache=ResultCache(tmp_path),
-                        retry_backoff=0.0)
+        runner = Runner(workers=1, cache=ResultCache(tmp_path))
         first = runner.run_one("nested_l1", config)
         again = runner.run_one("nested_l1", config)
         assert runner.last_stats.cache_hits == 1
@@ -307,7 +306,7 @@ class TestRunnerIntegration:
     def test_run_stats_throughput_accounting(self, tmp_path):
         from repro.runner import Runner
 
-        runner = Runner(workers=1, cache=False, retry_backoff=0.0)
+        runner = Runner(workers=1, cache=False)
         result = runner.run_one("nested_l1")
         stats = runner.last_stats
         assert stats.host_seconds > 0

@@ -15,22 +15,25 @@ Two bugs this file pins down (both must FAIL on the pre-fix worker):
 The max-jobs tests drive the real ``run()`` loop against an in-process
 scripted fake client; the post-retry tests drive ``_post_result``
 against a real flaky HTTP server (the ``tests/test_client_retry.py``
-pattern) through a real :class:`ServeClient` with its own transparent
-retry disabled, so only the *worker-level* policy is under test.  The
-same two harnesses pin the reference post: a published result is
-posted by digest, and the blob rides along only when it must.
+pattern) through a real :class:`ServeClient`.  The worker's post loop
+is the only retry layer for a result, whatever the client's own
+``max_retries``.  The same two harnesses pin the reference post: a
+published result is posted by digest, and the blob rides along only
+when it must.
 """
 
 import http.server
 import json
+import random
 import threading
 
 import pytest
 
+from repro import retry
 from repro.errors import DeadlockError
 from repro.serve import ChaosHooks, ServeWorker
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.worker import RETRY_POST_STATUSES
+from repro.serve.worker import RESULT_POST_RETRIES, RETRY_POST_STATUSES
 
 
 # -- satellite 1: the --max-jobs odometer --------------------------------
@@ -173,24 +176,27 @@ class TestReferencePost:
 
 
 class _FlakyHandler(http.server.BaseHTTPRequestHandler):
-    """Answers per the server's script; counts and keeps every
-    arrival's JSON body."""
+    """Answers per the server's script (``"429:7"`` adds
+    ``Retry-After: 7``); counts and keeps every arrival's JSON body."""
 
     def _serve(self):
         server = self.server
         server.hits += 1
         length = int(self.headers.get("Content-Length") or 0)
         server.bodies.append(json.loads(self.rfile.read(length) or "null"))
-        status = server.script.pop(0) if server.script else "200"
-        if status == "reset":
+        action = server.script.pop(0) if server.script else "200"
+        if action == "reset":
             self.connection.close()
             return
+        status, _, retry_after = action.partition(":")
         body = json.dumps({"id": "j1", "state": "done"}
                           if int(status) < 400 else
                           {"error": f"scripted {status}"}).encode()
         self.send_response(int(status))
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if retry_after:
+            self.send_header("Retry-After", retry_after)
         self.end_headers()
         self.wfile.write(body)
 
@@ -202,7 +208,7 @@ class _FlakyHandler(http.server.BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def flaky():
+def flaky(monkeypatch):
     """A scripted server; yields (server, make_worker)."""
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0),
                                              _FlakyHandler)
@@ -212,20 +218,18 @@ def flaky():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
 
-    def make_worker(**kwargs):
-        # max_retries=0: the client's transparent retry is OFF, so
-        # every re-post observed by the server is the *worker's* doing.
+    sleeps = []
+    monkeypatch.setattr(retry, "sleep", sleeps.append)  # no real waiting
+
+    def make_worker(max_retries=0, **kwargs):
         client = ServeClient(host="127.0.0.1",
                              port=server.server_address[1],
-                             timeout=5.0, max_retries=0)
-        kwargs.setdefault("result_post_retries", 4)
+                             timeout=5.0, max_retries=max_retries)
         kwargs.setdefault("chaos", ChaosHooks(""))
         logs = []
         worker = ServeWorker(client, name="wtest", log=logs.append,
                              **kwargs)
         worker.logs = logs
-        sleeps = []
-        worker._sleep = sleeps.append  # no real waiting in tests
         worker.sleeps = sleeps
         return worker
 
@@ -253,18 +257,50 @@ class TestResultPostRetry:
         assert worker.failed == 0
         assert len(worker.sleeps) == 2  # backed off between re-posts
 
-    def test_backoff_decays_and_respects_budget(self, flaky):
-        """All-transient script: the worker posts 1 + budget times with
-        doubling (capped) backoff, then gives the result up as lost."""
+    def test_backoff_decays_and_respects_budget(self, flaky, monkeypatch):
+        """All-transient script: the worker posts 1 + 8 times, sleeping
+        the seeded retry schedule between posts, then gives the result
+        up as lost."""
         server, make_worker = flaky
         server.script = ["503"] * 10
-        worker = make_worker(result_post_retries=3)
+        monkeypatch.setattr(retry, "rng", random.Random(42))
+        worker = make_worker()
         assert worker._post_result("j1", 1, PAYLOAD, 0.5) is False
-        assert server.hits == 4  # initial + 3 retries
+        assert RESULT_POST_RETRIES == 8
+        assert server.hits == 9  # initial + 8 retries
         assert worker.failed == 1
         assert worker.completed == 0
-        assert worker.sleeps == [0.2, 0.4, 0.8]
+        assert worker.sleeps == [
+            0.16394267984578836, 0.20500215104453343, 0.5100117273476478,
+            0.9785685905190583, 1.7364712141640124, 1.6766994874229113,
+            1.8921795677048454, 1.086938832629416]
         assert any("result lost" in line for line in worker.logs)
+
+    def test_client_retry_does_not_nest_under_the_post_loop(self, flaky):
+        """Regression: the client's own retry (max_retries=3) ran
+        inside each worker re-post, so one result took 36 posts against
+        an all-503 daemon.  The post loop is now the only layer."""
+        server, make_worker = flaky
+        server.script = ["503"] * 40
+        worker = make_worker(max_retries=3)
+        assert worker._post_result("j1", 1, PAYLOAD, 0.5) is False
+        assert server.hits == 1 + 8
+        assert len(worker.sleeps) == 8
+        assert worker.client.retries_attempted == 0
+
+    def test_retry_after_drives_the_post_retry(self, flaky):
+        """Regression: the worker ignored the daemon's Retry-After
+        (its client slept the hint three times per re-post, then the
+        worker slept 0.2 s).  Now each 429 with Retry-After: 7 makes
+        the worker sleep exactly 7 s."""
+        server, make_worker = flaky
+        server.script = ["429:7"] * 4 + ["200"]
+        worker = make_worker(max_retries=3)
+        assert worker._post_result("j1", 1, PAYLOAD, 0.5) is True
+        assert server.hits == 5
+        assert worker.sleeps == [7.0] * 4
+        assert worker.client.retries_attempted == 0
+        assert worker.completed == 1
 
     def test_fence_rejection_drops_immediately(self, flaky):
         """409 is deterministic — the job moved on; no retry burned."""
