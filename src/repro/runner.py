@@ -645,12 +645,23 @@ class Runner:
         return self.run([job])[job]
 
     def run(self, jobs: Iterable[Job],
-            strict: Optional[bool] = None) -> Dict[Job, KernelRunResult]:
+            strict: Optional[bool] = None,
+            trace_sinks: Optional[Mapping[Job, List]] = None,
+            ) -> Dict[Job, KernelRunResult]:
         """Resolve a batch of jobs; returns ``{job: result}``.
 
         Duplicate jobs (same workload, params, and config) are simulated
         once; every requested job still appears as a key in the returned
         mapping, so callers can look results up with their own objects.
+
+        *trace_sinks* maps jobs of the batch to lists that collect their
+        runs' :class:`~repro.trace.format.TraceEvent` streams (see
+        :func:`~repro.kernels.workload.run_workload`).  A traced job is
+        never answered from the cache and always executes in this
+        process, so its sink is always filled; a retried attempt starts
+        it afresh.  Otherwise it is an ordinary job: its result is
+        stored, counted and emitted as "executed", and the sink, a pure
+        observer, leaves the result bit-identical to an untraced run.
 
         Failure policy: a job whose execution fails permanently (after
         retries and pool degradation) lands in ``last_stats.failures``.
@@ -665,6 +676,9 @@ class Runner:
         unique: Dict[str, Job] = {}
         for job in requested:
             unique.setdefault(job.key, job)
+        sinks = {job.key: sink for job, sink in (trace_sinks or {}).items()}
+        if not sinks.keys() <= unique.keys():
+            raise ValueError("trace_sinks names a job outside the batch")
 
         stats = RunStats(requested=len(requested), unique=len(unique))
         results: Dict[str, KernelRunResult] = {}
@@ -686,7 +700,7 @@ class Runner:
             for key, job in unique.items():
                 cached = (self.cache.load(job)
                           if self.cache is not None and job.cacheable
-                          else None)
+                          and key not in sinks else None)
                 if cached is not None:
                     results[key] = cached
                     stats.cache_hits += 1
@@ -695,14 +709,21 @@ class Runner:
                     pending.append(job)
 
             named = [job for job in pending if job.factory is None]
-            inline = [job for job in pending if job.factory is not None]
+            local = [job for job in pending if job.factory is not None]
+            if self.workers > 1:
+                # A sink cannot cross the process boundary: traced jobs
+                # stay in this process.
+                local = [job for job in named if job.key in sinks] + local
+                named = [job for job in named if job.key not in sinks]
 
             queued_since = time.monotonic()
             if len(named) > 1 and self.workers > 1:
                 self._run_pool(named, results, stats, emit, queued_since)
             else:
-                self._run_serial(named, results, stats, emit, queued_since)
-            self._run_serial(inline, results, stats, emit, queued_since)
+                self._run_serial(named, results, stats, emit, queued_since,
+                                 sinks=sinks)
+            self._run_serial(local, results, stats, emit, queued_since,
+                             sinks=sinks)
         finally:
             stats.wall_seconds = time.perf_counter() - start
             self.last_stats = stats
@@ -746,11 +767,13 @@ class Runner:
 
     def _run_serial(self, jobs: List[Job], results, stats, emit,
                     queued_since: Optional[float] = None,
-                    attempts: Optional[Dict[str, int]] = None) -> None:
+                    attempts: Optional[Dict[str, int]] = None,
+                    sinks: Optional[Dict[str, List]] = None) -> None:
         """Run *jobs* in-process, one policy group at a time.
 
         *attempts* maps a job key to the retries it already spent in a
         pool that broke, so the budget covers all of a job's runs.
+        *sinks* maps a job key to its trace sink (see :meth:`run`).
 
         Jobs of a group share a :class:`~repro.eu.batch.FunctionalMemo`,
         so the fast engine makes each launch's functional pass once and
@@ -765,7 +788,8 @@ class Runner:
             try:
                 for job in group:
                     self._run_local(job, results, stats, emit, queued_since,
-                                    memo, (attempts or {}).get(job.key, 0))
+                                    memo, (attempts or {}).get(job.key, 0),
+                                    (sinks or {}).get(job.key))
             finally:
                 stats.functional_passes += memo.passes
                 stats.functional_reused += memo.reused
@@ -773,7 +797,8 @@ class Runner:
 
     def _run_local(self, job: Job, results, stats, emit,
                    queued_since: Optional[float] = None,
-                   memo=None, attempt: int = 0) -> None:
+                   memo=None, attempt: int = 0,
+                   sink: Optional[List] = None) -> None:
         from .kernels.workload import run_workload
 
         # Time spent behind earlier jobs of this batch, measured up to
@@ -781,11 +806,14 @@ class Runner:
         queue_wait = (max(0.0, time.monotonic() - queued_since)
                       if queued_since is not None else 0.0)
         while True:
+            if sink is not None:
+                sink.clear()  # drop a failed attempt's partial trace
             tick = time.perf_counter()
             try:
                 result = run_workload(job.build(), job.config,
                                       verify=job.verify and self.verify,
-                                      host_seconds=self.timeout, memo=memo)
+                                      host_seconds=self.timeout,
+                                      trace_sink=sink, memo=memo)
             except Exception as exc:
                 error = self._failure(job, exc, attempt, stats)
                 if error is None:

@@ -40,7 +40,12 @@ from .engines import (
     run_engine_parity,
     verify_engine_results,
 )
-from .properties import fuzz_masks, random_mask, verify_sim_vs_profiler
+from .properties import (
+    TracedRun,
+    fuzz_masks,
+    random_mask,
+    verify_sim_vs_profiler,
+)
 from .report import (
     ARTIFACT_SCHEMA,
     PropertyReport,
@@ -52,7 +57,9 @@ from .report import (
 
 #: Workloads the simulator-vs-profiler replay runs on by default: small
 #: and shape-diverse (coherent, data-divergent, nested-control-flow,
-#: loop-divergent), because these runs are in-process and uncached.
+#: loop-divergent).  Each replays the trace of its own base-policy
+#: differential run, so the check adds no simulation; a name outside the
+#: verified list costs one traced run.
 SIM_VS_PROFILER_DEFAULT = ("va", "gnoise", "bsearch", "bsort")
 
 
@@ -72,26 +79,32 @@ def run_verify(
     simulations go through the shared runner (parallel + cached); the
     fuzz layer is pure analytics; the sim-vs-profiler replay runs on
     *profiler_names* (default: a small shape-diverse subset of *names*).
-    With *engine_parity* (the default), each workload additionally runs
+    Their base-policy differential jobs run traced, and the replay reads
+    those runs, so every simulation here runs once; a profiler name
+    outside *names* gets one traced run of its own.  With
+    *engine_parity* (the default), each workload additionally runs
     under both execution engines and the results are cross-checked —
     the interp leg dedupes against the differential runs through the
     result cache, so the marginal cost is one fast run per workload.
     """
     workload_names = list(names) if names is not None else verifiable_workloads()
+    base = base_config if base_config is not None else GpuConfig()
+    if profiler_names is None:
+        profiler_names = [name for name in SIM_VS_PROFILER_DEFAULT
+                          if name in workload_names]
+    traced = [TracedRun(name, base) for name in profiler_names]
     report = VerifyReport()
-    report.workloads = run_differential(workload_names, base_config, runner,
-                                        timed_tolerance=timed_tolerance)
+    report.workloads = run_differential(workload_names, base, runner,
+                                        timed_tolerance=timed_tolerance,
+                                        traced=traced)
     if engine_parity:
         report.workloads.extend(
             run_engine_parity(workload_names, base_config, runner))
     if fuzz_iterations > 0:
         report.properties.extend(fuzz_masks(fuzz_iterations, seed=seed))
-    if profiler_names is None:
-        profiler_names = [name for name in SIM_VS_PROFILER_DEFAULT
-                          if name in workload_names]
     if profiler_names:
-        report.properties.append(
-            verify_sim_vs_profiler(profiler_names, base_config))
+        report.properties.append(verify_sim_vs_profiler(
+            profiler_names, base, runner, traced=traced))
     return report
 
 
@@ -101,6 +114,7 @@ __all__ = [
     "PropertyReport",
     "SIM_VS_PROFILER_DEFAULT",
     "TIMED_ORDERING_TOLERANCE",
+    "TracedRun",
     "VERIFIED_POLICIES",
     "VerifyReport",
     "Violation",

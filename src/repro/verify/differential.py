@@ -43,7 +43,7 @@ failure instead of a violation list.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from ..core.policy import POLICY_ORDER, CompactionPolicy
 from ..core.stats import CompactionStats
@@ -51,6 +51,9 @@ from ..gpu.config import GpuConfig
 from ..gpu.results import KernelRunResult
 from ..runner import Job, Runner, default_runner
 from .report import Violation, WorkloadVerdict, error_verdict
+
+if TYPE_CHECKING:
+    from .properties import TracedRun
 
 #: Policies every workload is differentially executed under, in
 #: non-increasing expected cycle order.
@@ -246,12 +249,15 @@ def run_differential(
     runner: Optional[Runner] = None,
     policies: Iterable[CompactionPolicy] = VERIFIED_POLICIES,
     timed_tolerance: float = TIMED_ORDERING_TOLERANCE,
+    traced: Iterable["TracedRun"] = (),
 ) -> List[WorkloadVerdict]:
     """Differentially verify *names* (default: every non-fault workload).
 
     All ``len(names) * 4`` simulations go to the shared runner as one
     batch, so they are deduplicated against (and feed) the same on-disk
-    result cache every experiment uses.
+    result cache every experiment uses.  Each of the *traced* runs whose
+    job is in that batch executes with its trace sink attached and is
+    settled from the batch; the others are left untouched.
     """
     ordered = list(names) if names is not None else verifiable_workloads()
     base = base_config if base_config is not None else GpuConfig()
@@ -262,7 +268,12 @@ def run_differential(
         (name, policy): Job(name, base.with_policy(policy))
         for name in ordered for policy in policies
     }
-    results = engine.run(jobs.values(), strict=False)
+    batch = set(jobs.values())
+    traced = [run for run in traced if run.job in batch]
+    results = engine.run(jobs.values(), strict=False,
+                         trace_sinks={run.job: run.events for run in traced})
+    for run in traced:
+        run.settle(results, engine)
     failures = engine.last_stats.failures
 
     verdicts: List[WorkloadVerdict] = []

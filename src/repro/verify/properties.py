@@ -27,7 +27,9 @@ accumulators, and every paper-level invariant is asserted per case:
 evaluation paths of the paper (Section 5.1): the execution-driven
 simulator's per-run ALU statistics must match an offline
 :func:`~repro.trace.profiler.profile_trace` replay of the very trace the
-run emitted.
+run emitted.  The run is a :class:`TracedRun`: a runner job with a trace
+sink attached, which :func:`~repro.verify.run_verify` hands to the
+differential batch so the check costs no simulation of its own.
 """
 
 from __future__ import annotations
@@ -46,10 +48,13 @@ from ..core.quads import (
 from ..core.scc import scc_cycles, scc_schedule, swizzle_settings_for_cycle
 from ..core.scc_hw import decode_cycle, encode_cycle
 from ..core.stats import CompactionStats
+from ..errors import describe
 from ..gpu.config import GpuConfig
+from ..gpu.results import KernelRunResult
+from ..runner import Job, Runner, default_runner
 from ..trace.format import TraceEvent
 from ..trace.profiler import profile_trace
-from .report import PropertyReport, Violation
+from .report import FAILED_RUN, PropertyReport, Violation
 
 #: SIMD widths the fuzzer draws from (the multi-quad widths — SIMD1/4
 #: are single-quad and degenerate for compaction).
@@ -278,38 +283,84 @@ def fuzz_masks(
     ]
 
 
+class TracedRun:
+    """One workload's base-policy job with a trace sink attached.
+
+    Whichever :meth:`Runner.run <repro.runner.Runner.run>` batch executes
+    :attr:`job` fills :attr:`events` and then :meth:`settle` records the
+    job's result or failure, so the replay check reads the very run that
+    batch produced.
+    """
+
+    def __init__(self, name: str, config: GpuConfig) -> None:
+        self.job = Job(name, config)
+        self.events: List[TraceEvent] = []
+        self.result: Optional[KernelRunResult] = None
+        self.error: Optional[BaseException] = None
+
+    @property
+    def done(self) -> bool:
+        return self.result is not None or self.error is not None
+
+    def settle(self, results: Dict[Job, KernelRunResult],
+               runner: Runner) -> None:
+        """Take this job's outcome from a finished batch of *runner*."""
+        self.result = results.get(self.job)
+        self.error = runner.last_stats.failures.get(self.job.key)
+
+
 def verify_sim_vs_profiler(
     names: Iterable[str],
     config: Optional[GpuConfig] = None,
+    runner: Optional[Runner] = None,
+    traced: Iterable[TracedRun] = (),
 ) -> PropertyReport:
     """Cross-check the simulator against the trace profiler per workload.
 
-    Runs each workload in-process with a trace sink attached, then
-    replays the captured event stream through
+    Replays each workload's captured event stream through
     :func:`~repro.trace.profiler.profile_trace` and requires the offline
-    statistics to match the simulator's own ALU accumulator exactly
-    (modulo the RF-access counters, which traces cannot carry).  This is
-    the paper's two-methodology consistency argument made executable, so
-    keep the workload list small — these runs bypass the cache.
-    """
-    from ..kernels import WORKLOAD_REGISTRY
-    from ..kernels.workload import run_workload
+    statistics to match the simulator's own ALU accumulator of the same
+    run exactly (modulo the RF-access counters, which traces cannot
+    carry).  This is the paper's two-methodology consistency argument
+    made executable.
 
+    *traced* holds runs another batch already made under *config* (see
+    :func:`~repro.verify.run_verify`); every other name gets a traced
+    job in one batch of its own on *runner* (default: the shared one).
+    Traced jobs are never answered from the cache, so the check always
+    replays a fresh trace.  A failed run is a violation naming it.
+    """
     base = config if config is not None else GpuConfig()
+    engine = runner if runner is not None else default_runner()
+    given = {run.job: run for run in traced if run.done}
+    runs = [given.setdefault(run.job, run)
+            for run in (TracedRun(name, base) for name in names)]
+    fresh = [run for run in runs if not run.done]
+    if fresh:
+        results = engine.run([run.job for run in fresh], strict=False,
+                             trace_sinks={run.job: run.events
+                                          for run in fresh})
+        for run in fresh:
+            run.settle(results, engine)
+
     violations: List[Violation] = []
-    ordered = list(names)
-    for name in ordered:
-        sink: List[TraceEvent] = []
-        result = run_workload(WORKLOAD_REGISTRY[name](), base,
-                              trace_sink=sink)
-        replayed = profile_trace(name, sink, min_cycles=1).stats
-        sim_fp, trace_fp = _fingerprint(result.alu_stats), _fingerprint(replayed)
+    for run in runs:
+        name = run.job.workload
+        if run.result is None:
+            violations.append(Violation(
+                scope="property:sim-vs-profiler", check=FAILED_RUN,
+                message=f"{name}: the traced run failed: "
+                        f"{describe(run.error)}"))
+            continue
+        alu_stats = run.result.alu_stats
+        replayed = profile_trace(name, run.events, min_cycles=1).stats
+        sim_fp, trace_fp = _fingerprint(alu_stats), _fingerprint(replayed)
         if sim_fp != trace_fp:
             diffs = [key for key in sim_fp if sim_fp[key] != trace_fp[key]]
             violations.append(Violation(
                 scope="property:sim-vs-profiler", check="alu-stats",
                 message=f"{name}: trace replay disagrees with the "
                         f"simulator's ALU stats in: {', '.join(diffs)} "
-                        f"({len(sink)} traced events, simulator counted "
-                        f"{result.alu_stats.instructions})"))
-    return PropertyReport("sim-vs-profiler", len(ordered), violations)
+                        f"({len(run.events)} traced events, simulator "
+                        f"counted {alu_stats.instructions})"))
+    return PropertyReport("sim-vs-profiler", len(runs), violations)

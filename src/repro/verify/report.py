@@ -15,8 +15,9 @@ log line — so the CLI, the JSON artifact, and CI can all consume the
 same structure.  Exit codes reuse the :mod:`repro.errors` contract: a
 clean report exits 0, any invariant violation exits like a
 :class:`~repro.errors.VerificationError` (1), and a report whose only
-defects are typed simulation failures (deadlock, timeout, crash)
-surfaces the first such failure's own exit code.
+defects are typed simulation failures (deadlock, timeout, crash), plus
+the :data:`FAILED_RUN` violations they cause, surfaces the first such
+failure's own exit code.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from ..errors import SimulationError, VerificationError, describe, exit_code_for
 
 #: Schema version of the JSON artifact (bump on incompatible layout change).
 ARTIFACT_SCHEMA = 1
+
+#: ``Violation.check`` of a property that could not be checked because
+#: the run it needed failed; that failure decides the exit code.
+FAILED_RUN = "failed-run"
 
 
 @dataclass(frozen=True)
@@ -140,10 +145,11 @@ class VerifyReport:
         """CLI exit status under the :mod:`repro.errors` contract."""
         if self.passed:
             return 0
-        if self.violations:
+        if any(v.check != FAILED_RUN for v in self.violations):
             return VerificationError.exit_code
         # Only typed simulation failures: surface the first one's code.
-        return next(v.error_exit for v in self.errors)
+        return next((v.error_exit for v in self.errors),
+                    VerificationError.exit_code)
 
     def as_artifact(self) -> Dict[str, Any]:
         """JSON-serializable artifact (the ``--json`` payload)."""

@@ -265,3 +265,90 @@ class TestAllPoliciesThroughRunner:
         assert warm.last_stats.cache_hits == 3
         assert {k: v.total_cycles for k, v in again.items()} == \
             {k: v.total_cycles for k, v in results.items()}
+
+
+def _policy_batch(name, engine):
+    return [Job(name, GpuConfig(policy=policy, engine=engine))
+            for policy in CompactionPolicy]
+
+
+class TestTracedJobs:
+    @pytest.mark.parametrize("engine", ["interp", "fast"])
+    @pytest.mark.parametrize("name", ["gnoise", "bsort"])
+    def test_trace_leaves_results_bit_identical(self, name, engine):
+        # The traced job shares its policy group (and, on the fast
+        # engine, the replayed functional pass) with untraced siblings.
+        jobs = _policy_batch(name, engine)
+        traced = jobs[1]
+        sink = []
+        runner = Runner(workers=1, cache=False)
+        with_trace = runner.run(jobs, trace_sinks={traced: sink})
+        plain = Runner(workers=1, cache=False).run(jobs)
+        assert sink and runner.last_stats.executed == len(jobs)
+        for job in jobs:
+            assert (ResultCache.serialize(with_trace[job])
+                    == ResultCache.serialize(plain[job]))
+
+    def test_warm_cache_still_executes_traced_job(self, tmp_path):
+        jobs = _policy_batch("gnoise", "interp")[:2]
+        Runner(workers=1, cache=ResultCache(tmp_path)).run(jobs)
+        cached = ResultCache(tmp_path).path_for(jobs[0]).read_bytes()
+
+        sink = []
+        runner = Runner(workers=1, cache=ResultCache(tmp_path))
+        results = runner.run(jobs, trace_sinks={jobs[0]: sink})
+        assert runner.last_stats.executed == 1
+        assert runner.last_stats.cache_hits == 1
+        assert sink
+        assert ResultCache.serialize(results[jobs[0]]) == cached
+
+    def test_pool_runs_traced_job_in_process(self, tmp_path):
+        jobs = _grid_jobs()
+        traced = jobs[2]  # gnoise under IVB
+        sink = []
+        events = []
+        runner = Runner(workers=2, cache=ResultCache(tmp_path),
+                        progress=events.append)
+        results = runner.run(jobs, trace_sinks={traced: sink})
+        plain = Runner(workers=1, cache=False).run([traced])[traced]
+        assert sink and runner.last_stats.executed == len(jobs)
+        assert sorted(e.status for e in events) == ["executed"] * len(jobs)
+        assert (ResultCache.serialize(results[traced])
+                == ResultCache.serialize(plain)
+                == ResultCache(tmp_path).path_for(traced).read_bytes())
+
+    def test_failed_traced_job_spares_its_siblings(self):
+        from repro.errors import DeadlockError
+
+        spin = Job("fault_spin", GpuConfig(max_cycles=20_000))
+        siblings = [Job("va"), Job("gnoise")]
+        runner = Runner(workers=1, cache=False, strict=False)
+        results = runner.run([spin, *siblings], trace_sinks={spin: []})
+        assert isinstance(runner.last_stats.failures[spin.key],
+                          DeadlockError)
+        assert set(results) == set(siblings)
+
+    def test_retried_attempt_starts_a_fresh_trace(self, monkeypatch):
+        import repro.kernels.workload as workload
+
+        real = workload.run_workload
+        calls = []
+
+        def flaky(*args, trace_sink=None, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                trace_sink.append("partial")
+                raise RuntimeError("transient")
+            return real(*args, trace_sink=trace_sink, **kwargs)
+
+        monkeypatch.setattr(workload, "run_workload", flaky)
+        monkeypatch.setattr("repro.retry.sleep", lambda seconds: None)
+        sink = []
+        Runner(workers=1, cache=False).run([Job("va")],
+                                           trace_sinks={Job("va"): sink})
+        assert len(calls) == 2 and "partial" not in sink and sink
+
+    def test_trace_sink_outside_the_batch_rejected(self):
+        with pytest.raises(ValueError):
+            Runner(workers=1, cache=False).run(
+                [Job("va")], trace_sinks={Job("gnoise"): []})

@@ -194,6 +194,96 @@ class TestRunDifferential:
         assert verdict.error_exit == 4
 
 
+def _fail_host_check(monkeypatch, name, error):
+    """Make *name*'s host reference check raise *error*."""
+    from repro.kernels.workload import Workload
+
+    real = Workload.verify
+
+    def verify(self):
+        if self.name == name:
+            raise error
+        real(self)
+
+    monkeypatch.setattr(Workload, "verify", verify)
+
+
+class TestSimVsProfilerReuse:
+    BASE = GpuConfig(policy=CompactionPolicy.IVB, engine="interp")
+
+    @staticmethod
+    def _count_runs(monkeypatch):
+        import repro.kernels.workload as workload
+
+        real = workload.run_workload
+        runs = []
+
+        def counting(instance, config=None, *args, **kwargs):
+            runs.append((instance.name, config.engine, config.policy.value))
+            return real(instance, config, *args, **kwargs)
+
+        monkeypatch.setattr(workload, "run_workload", counting)
+        return runs
+
+    def test_each_simulation_runs_once(self, monkeypatch, tmp_path):
+        from repro.runner import ResultCache
+        from repro.verify import run_verify
+
+        runs = self._count_runs(monkeypatch)
+        report = run_verify(["gnoise", "bsearch"], self.BASE,
+                            runner=Runner(workers=1,
+                                          cache=ResultCache(tmp_path)),
+                            fuzz_iterations=0)
+        assert report.passed, report.summary_lines()
+        (profiler,) = [p for p in report.properties
+                       if p.name == "sim-vs-profiler"]
+        assert profiler.cases == 2
+        expected = [(name, "interp", policy.value)
+                    for name in ("gnoise", "bsearch")
+                    for policy in POLICY_ORDER]
+        expected += [(name, "fast", "ivb") for name in ("gnoise", "bsearch")]
+        assert sorted(runs) == sorted(expected)
+
+    def test_profiler_name_outside_names_gets_one_traced_run(
+            self, monkeypatch):
+        from repro.verify import run_verify
+
+        runs = self._count_runs(monkeypatch)
+        report = run_verify(["va"], self.BASE,
+                            runner=Runner(workers=1, cache=False),
+                            fuzz_iterations=0, engine_parity=False,
+                            profiler_names=["va", "gnoise"])
+        assert report.passed, report.summary_lines()
+        assert report.properties[-1].cases == 2
+        assert runs.count(("gnoise", "interp", "ivb")) == 1
+        assert len(runs) == 5
+
+    @pytest.mark.parametrize("error, exit_code", [
+        (AssertionError("host mismatch"), 1),
+        (DeadlockError("stuck"), DeadlockError.exit_code),
+    ])
+    def test_failed_profiler_run_keeps_the_report(self, monkeypatch,
+                                                 error, exit_code):
+        from repro.verify import run_verify
+
+        _fail_host_check(monkeypatch, "va", error)
+        report = run_verify(["va"], GpuConfig(),
+                            runner=Runner(workers=1, cache=False, retries=0),
+                            fuzz_iterations=0)
+        kind = ("VerificationError" if isinstance(error, AssertionError)
+                else "DeadlockError")
+        differential = report.workloads[0]
+        assert differential.workload == "va"
+        assert kind in differential.error
+        (profiler,) = report.properties
+        assert profiler.name == "sim-vs-profiler" and profiler.cases == 1
+        (violation,) = profiler.violations
+        assert violation.message.startswith("va: ") and kind in violation.message
+        assert report.exit_code() == exit_code
+        artifact = json.loads(json.dumps(report.as_artifact()))
+        assert artifact["exit_code"] == exit_code
+
+
 class TestVerifyCli:
     def test_unknown_workload_is_usage_error(self, capsys):
         assert main(["verify", "--workloads", "nope"]) == 2
