@@ -142,7 +142,7 @@ class WorkerCrashError(SimulationError):
 
     The one *transient* failure kind: the runner retries these with
     exponential backoff before giving up, and degrades from the process
-    pool to in-process serial execution when the pool itself breaks.
+    pool to one-worker pools when the pool itself breaks.
     """
 
     exit_code = 5

@@ -20,14 +20,19 @@ smallest pc first, ascending thread id within a wavefront) produces the
 same buffers, flags, and per-thread mask streams as the interleaved
 interpreter.
 
-The instruction semantics are the interpreter's, not a copy: ALU values
-come from :func:`repro.eu.interp.alu_value`, control flow from each
-thread's :meth:`MaskStack.control`, predicates from
-:func:`repro.eu.maskstack.pred_mask`, and offset validation from
-:func:`repro.eu.interp._checked_indices`, each applied to a
-``(threads, lanes)`` block.  What is batched here is state: the
-register file of every thread in one array, masked writes, CMP flag
-packing, SEL, and per-thread cache-line sets.
+The definitions are the interpreter's, not copies.  Thread geometry and
+the dispatch payload come from :mod:`repro.gpu.dispatch`
+(:func:`~repro.gpu.dispatch.workgroup_threads`,
+:class:`~repro.gpu.dispatch.DispatchPayload`); operands, formulas and
+CMP comparisons from each instruction's cached plans
+(:func:`repro.eu.interp.alu_plan`, :func:`repro.eu.interp.mem_plan`);
+control flow from each thread's :meth:`MaskStack.control`, predicates
+from :func:`repro.eu.maskstack.pred_mask`, offset validation from
+:func:`repro.eu.interp._checked_indices` and SLM messages from
+:func:`repro.eu.interp.run_slm`.  What is batched here is state, and
+only shape-specific code stays: the register file of every thread in
+one ``(threads, slots)`` array, masked writes, CMP flag packing, SEL,
+per-thread cache-line sets and the barrier release.
 
 Trace schema — one entry per issued instruction, ``(pc, mask, aux)``:
 
@@ -57,14 +62,13 @@ import numpy as np
 from ..core.policy import CompactionPolicy
 from ..core.stats import CompactionStats
 from ..errors import DeadlockError, JobTimeoutError
+from ..gpu.dispatch import DispatchPayload, workgroup_slm, workgroup_threads
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode, Pipe
-from ..isa.program import ParamKind, Program
-from ..isa.registers import NUM_GRF_REGS, Imm, RegRef
-from ..isa.types import SLOTS_PER_REG, DType
+from ..isa.program import Program
 from ..memory.cache import LINE_BYTES
-from ..memory.slm import SlmAllocation, SlmTiming
-from .interp import _checked_indices, alu_value, gather, scatter
+from .grf import NUM_SLOTS
+from .interp import _CMP, _SEL, _checked_indices, alu_plan, mem_plan, run_slm
 from .maskstack import MaskStack, pred_mask
 
 __all__ = ["FunctionalMemo", "run_functional"]
@@ -89,10 +93,12 @@ def run_functional(
 ) -> List[List[TraceEntry]]:
     """Execute a launch functionally; return one issue trace per thread.
 
-    Thread enumeration (ids, dispatch masks, partial tails) matches
-    :meth:`repro.gpu.dispatch.Launch._materialize` exactly, so trace
-    index *i* belongs to the thread the replay launch materializes with
-    ``thread_id == i``.  Buffers behind *surfaces* are mutated in place,
+    Rows are laid out by :func:`repro.gpu.dispatch.workgroup_threads`,
+    the enumeration :meth:`repro.gpu.dispatch.Launch._materialize`
+    numbers its threads by, so trace index *i* belongs to the thread the
+    replay launch materializes with ``thread_id == i``.  A missing scalar
+    argument raises :class:`~repro.gpu.dispatch.DispatchPayload`'s
+    ``ValueError``.  Buffers behind *surfaces* are mutated in place,
     exactly as the interleaved interpreter would.  The pass runs inside
     one ``np.errstate(all="ignore")``: IEEE results, as the hardware
     gives, without numpy's floating-point warnings.
@@ -199,35 +205,18 @@ class _BatchEngine:
         self.surfaces = surfaces
         self.wall_deadline = wall_deadline
         width = program.simd_width
-        self.width = width
 
-        # -- thread geometry (mirrors Launch._materialize) ----------------
-        threads_per_wg = local_size // width
+        # -- thread geometry: one row per thread, in thread-id order ------
         num_workgroups = -(-global_size // local_size)
-        wg_of: List[int] = []
-        dispatch_masks: List[int] = []
-        global_bases: List[int] = []
-        local_bases: List[int] = []
-        for wg_id in range(num_workgroups):
-            wg_base = wg_id * local_size
-            wg_items = min(local_size, global_size - wg_base)
-            for t in range(threads_per_wg):
-                local_base = t * width
-                if local_base >= wg_items:
-                    break
-                lanes_valid = min(width, wg_items - local_base)
-                wg_of.append(wg_id)
-                dispatch_masks.append((1 << lanes_valid) - 1)
-                global_bases.append(wg_base + local_base)
-                local_bases.append(local_base)
-        n = len(wg_of)
-        self.n_threads = n
+        threads = [(wg_id,) + thread for wg_id in range(num_workgroups)
+                   for thread in workgroup_threads(
+                       wg_id, global_size, local_size, width)]
+        wg_of, global_bases, local_bases, dispatch_masks = zip(*threads)
+        n = len(threads)
         self.wg_of = np.asarray(wg_of, dtype=np.int64)
-        self.num_workgroups = num_workgroups
 
         # -- architectural state ------------------------------------------
-        self.storage = np.zeros((n, NUM_GRF_REGS * SLOTS_PER_REG),
-                                dtype=np.uint32)
+        self.storage = np.zeros((n, NUM_SLOTS), dtype=np.uint32)
         self.flags = np.zeros((2, n), dtype=np.uint64)
         self.pc = np.zeros(n, dtype=np.int64)
         self.status = np.zeros(n, dtype=np.int8)
@@ -243,50 +232,14 @@ class _BatchEngine:
         self._wg_rows = [
             np.nonzero(self.wg_of == wg)[0] for wg in range(num_workgroups)
         ]
-        #: (id(imm), dtype, width) -> cached 1-row constant array.
-        self._imm_cache: dict = {}
 
-        self.slm_data = [
-            SlmAllocation(program.slm_bytes) if program.slm_bytes else None
-            for _ in range(num_workgroups)
-        ]
-        self.slm_timing = [
-            SlmTiming(config.slm_latency, config.slm_banks)
-            for _ in range(num_workgroups)
-        ]
+        #: Each workgroup's ``(allocation, bank timing)``.
+        self.slm = [workgroup_slm(program, config)
+                    for _ in range(num_workgroups)]
 
-        self._write_payloads(np.asarray(global_bases, dtype=np.int64),
-                             np.asarray(local_bases, dtype=np.int64), scalars)
-
-    # -- dispatch payload -----------------------------------------------------
-
-    def _write_payloads(self, global_bases, local_bases, scalars) -> None:
-        program = self.program
-        width = self.width
-        lanes = np.arange(width, dtype=np.int64)
-        if program.gid_reg is not None:
-            vals = (global_bases[:, None] + lanes[None, :]).astype(np.int32)
-            self._store_raw(program.gid_reg, vals)
-        if program.lid_reg is not None:
-            vals = (local_bases[:, None] + lanes[None, :]).astype(np.int32)
-            self._store_raw(program.lid_reg, vals)
-        for param in program.scalar_params():
-            if param.name not in scalars:
-                raise ValueError(
-                    f"kernel {program.name!r} missing scalar argument "
-                    f"{param.name!r}"
-                )
-            dtype = DType.F32 if param.kind is ParamKind.SCALAR_F32 else DType.I32
-            row = np.full((1, width), scalars[param.name],
-                          dtype=dtype.np_dtype)
-            raw = np.broadcast_to(row.view(np.uint32), (self.n_threads, width))
-            start = param.reg * SLOTS_PER_REG
-            self.storage[:, start:start + width] = raw
-
-    def _store_raw(self, reg: int, values: np.ndarray) -> None:
-        raw = np.ascontiguousarray(values).view(np.uint32)
-        start = reg * SLOTS_PER_REG
-        self.storage[:, start:start + raw.shape[1]] = raw
+        DispatchPayload(program, scalars).write(
+            self.storage, np.asarray(global_bases)[:, None],
+            np.asarray(local_bases)[:, None])
 
     # -- main loop ------------------------------------------------------------
 
@@ -403,95 +356,76 @@ class _BatchEngine:
     def _exec_alu(self, pc: int, inst: Instruction, rows: np.ndarray,
                   exec_masks: np.ndarray,
                   selectors: Optional[np.ndarray]) -> None:
-        width = inst.width
-        op = inst.opcode
-        dtype = inst.dtype
-
-        if op is Opcode.CMP:
-            a = self._read_src(inst.sources[0], rows, width, dtype)
-            b = self._read_src(inst.sources[1], rows, width, dtype)
-            result = inst.cmp_op.apply(a, b)
-            taken = np.asarray(result, dtype=bool) & self._enabled(exec_masks, width)
+        kind, sources, fn, dtype, dst, width = alu_plan(inst)
+        # A register source is a (rows, lanes) block, an immediate the
+        # plan's read-only (lanes,) row, which broadcasts across them.
+        srcs = []
+        for src in sources:
+            if src.__class__ is tuple:
+                lo, hi, view, convert = src
+                src = self.storage[rows, lo:hi].view(view)
+                if convert is not None:
+                    src = src.astype(convert)
+            srcs.append(src)
+        if kind == _CMP:
+            taken = (np.asarray(fn(srcs[0], srcs[1]), dtype=bool)
+                     & self._enabled(exec_masks, width))
             bits = (taken * self._lane_bits[None, :width]).sum(
                 axis=1, dtype=np.uint64)
-            idx = inst.flag_dst.index
-            self.flags[idx][rows] = (self.flags[idx][rows] & ~exec_masks) | bits
-        elif op is Opcode.SEL:
-            a = self._read_src(inst.sources[0], rows, width, dtype)
-            b = self._read_src(inst.sources[1], rows, width, dtype)
-            sel = self._enabled(selectors, width)
-            self._write_reg(inst.dst, rows, width,
-                            np.where(sel, a, b), exec_masks)
+            self.flags[dst][rows] = (self.flags[dst][rows] & ~exec_masks) | bits
         else:
-            # CVT reads its source in the source type; every other op
-            # reads its sources in the instruction's type.
-            read_dtype = inst.src_dtype if op is Opcode.CVT else dtype
-            srcs = [self._read_src(src, rows, width, read_dtype)
-                    for src in inst.sources]
-            result = alu_value(op, srcs, dtype)
-            self._write_reg(inst.dst, rows, width, result, exec_masks)
+            if kind == _SEL:
+                result = np.where(self._enabled(selectors, width),
+                                  srcs[0], srcs[1])
+            else:
+                result = np.asarray(fn(srcs, dtype), dtype=dtype.np_dtype)
+            self._write(dst, rows, width, result, exec_masks)
 
-        self._append_entries(pc, rows, exec_masks)
+        traces = self.traces
+        for row, mask in zip(rows.tolist(), exec_masks.tolist()):
+            traces[row].append((pc, mask, None))
         self.pc[rows] += 1
 
     # -- memory ---------------------------------------------------------------
 
     def _exec_memory(self, pc: int, inst: Instruction, rows: np.ndarray,
                      exec_masks: np.ndarray) -> None:
-        width = inst.width
-        offsets = self._read_reg(inst.sources[0], rows, width)
+        plan = mem_plan(inst)
         if inst.opcode.is_slm:
-            self._exec_slm(pc, inst, rows, exec_masks, offsets)
+            self._exec_slm(pc, plan, rows, exec_masks)
         else:
-            self._exec_global(pc, inst, rows, exec_masks, offsets)
+            self._exec_global(pc, plan, rows, exec_masks)
         self.pc[rows] += 1
 
-    def _exec_slm(self, pc, inst, rows, exec_masks, offsets) -> None:
-        program = self.program
-        store_values = None
-        if inst.opcode is not Opcode.LOAD_SLM:
-            store_values = self._read_reg(inst.sources[1], rows, inst.width)
-        for i, row in enumerate(rows):
-            row = int(row)
-            mask = int(exec_masks[i])
-            if mask == 0:
-                self.traces[row].append((pc, 0, None))
-                continue
-            wg = int(self.wg_of[row])
-            slm = self.slm_data[wg]
-            if slm is None:
-                raise RuntimeError(
-                    f"kernel {program.name!r} uses SLM but none was allocated"
-                )
-            cycles = self.slm_timing[wg].access_cycles(offsets[i], mask)
-            if inst.opcode is Opcode.LOAD_SLM:
-                values = gather(slm.data, offsets[i], mask, inst.dtype)
-                self._write_reg(inst.dst, np.asarray([row]), inst.width,
-                                values[None, :],
-                                np.asarray([mask], dtype=np.uint64))
-            else:
-                scatter(slm.data, offsets[i], store_values[i], mask,
-                        inst.dtype)
+    def _exec_slm(self, pc, plan, rows, exec_masks) -> None:
+        # SLM messages run per thread, in ascending row order, on each
+        # row's 1-D slots: the bank model charges each access on its own.
+        kernel = self.program.name
+        for row, mask in zip(rows.tolist(), exec_masks.tolist()):
+            cycles = None
+            if mask:
+                cycles = run_slm(self.storage[row], plan,
+                                 *self.slm[self.wg_of[row]], mask, kernel)
             self.traces[row].append((pc, mask, cycles))
 
-    def _exec_global(self, pc, inst, rows, exec_masks, offsets) -> None:
-        width = inst.width
-        dtype = inst.dtype
+    def _exec_global(self, pc, plan, rows, exec_masks) -> None:
+        address, data, dst, dtype, surface_index, width = plan
         size = dtype.size
-        surface = self.surfaces[inst.surface]
+        surface = self.surfaces[surface_index]
         view = surface.view(dtype.np_dtype)
         enabled = self._enabled(exec_masks, width)
+        offsets = self._read(address, rows)
         # The canonical issue order makes the shared check's "first
         # offending lane" the lowest (thread, lane) pair.
         idx, unsigned = _checked_indices(
             surface, offsets, enabled, dtype,
-            "writes" if inst.opcode.is_store else "reads")
+            "writes" if data is not None else "reads")
         all_enabled = bool(enabled.all())
-        if inst.opcode is Opcode.LOAD:
+        if data is None:
             idx_safe = idx if all_enabled else np.where(enabled, idx, 0)
-            self._write_reg(inst.dst, rows, width, view[idx_safe], exec_masks)
+            self._write(dst, rows, width, view[idx_safe], exec_masks)
         else:
-            values = self._read_reg(inst.sources[1], rows, width)
+            values = self._read(data, rows)
             if all_enabled:
                 view[idx.ravel()] = values.ravel()
             else:
@@ -537,61 +471,24 @@ class _BatchEngine:
         return ((masks[:, None] >> self._lane_shifts[None, :width])
                 & np.uint64(1)).astype(bool)
 
-    def _read_src(self, operand, rows, width, dtype) -> np.ndarray:
-        if isinstance(operand, RegRef):
-            values = self._read_reg(operand, rows, width)
-            if operand.dtype is not dtype:
-                values = values.astype(dtype.np_dtype)
-            return values
-        if isinstance(operand, Imm):
-            # Broadcast a cached 1-row constant instead of materializing
-            # a fresh (rows, width) array per group; every consumer only
-            # reads sources, so the shared read-only view is safe.
-            key = (id(operand), dtype, width)
-            row = self._imm_cache.get(key)
-            if row is None:
-                row = self._imm_cache[key] = np.full(
-                    (1, width), operand.value, dtype=dtype.np_dtype)
-            return np.broadcast_to(row, (rows.shape[0], width))
-        raise TypeError(f"cannot evaluate operand {operand!r}")
+    def _read(self, operand: tuple, rows: np.ndarray) -> np.ndarray:
+        """The *rows*' lanes of a ``(lo, hi, view)`` operand, copied."""
+        lo, hi, view = operand
+        return self.storage[rows, lo:hi].view(view)  # advanced index: a copy
 
-    def _slot_span(self, ref: RegRef, width: int) -> Tuple[int, int]:
-        start = ref.reg * SLOTS_PER_REG
-        slots = width * ref.dtype.size // 4
-        if slots == 0:  # sub-32-bit widths never occur; guard anyway
-            slots = 1
-        end = start + slots
-        if end > NUM_GRF_REGS * SLOTS_PER_REG:
-            raise ValueError(
-                f"operand {ref} at SIMD{width} overflows the GRF "
-                f"(slots {start}..{end - 1})"
-            )
-        return start, end
-
-    def _read_reg(self, ref: RegRef, rows: np.ndarray, width: int) -> np.ndarray:
-        start, end = self._slot_span(ref, width)
-        block = self.storage[rows, start:end]  # advanced index: a copy
-        return block.view(ref.dtype.np_dtype)
-
-    def _write_reg(self, ref: RegRef, rows: np.ndarray, width: int,
-                   values: np.ndarray, exec_masks: np.ndarray) -> None:
-        start, end = self._slot_span(ref, width)
-        values = np.asarray(values, dtype=ref.dtype.np_dtype)
+    def _write(self, operand: tuple, rows: np.ndarray, width: int,
+               values: np.ndarray, exec_masks: np.ndarray) -> None:
+        """Store *values* (``(rows, lanes)``, or one row broadcast to all)
+        in the *rows*' lanes of a ``(lo, hi, view)`` operand under
+        their execution masks."""
+        lo, hi, view = operand
+        values = np.asarray(values, dtype=view)
         full = np.uint64((1 << width) - 1)
         if bool(np.all(exec_masks == full)):
-            raw = np.ascontiguousarray(values).view(np.uint32)
-            self.storage[rows, start:end] = raw.reshape(rows.shape[0],
-                                                        end - start)
+            self.storage[rows, lo:hi] = (
+                np.ascontiguousarray(values).view(np.uint32))
             return
-        block = self.storage[rows, start:end]
-        typed = block.view(ref.dtype.np_dtype)
-        np.copyto(typed, values, where=self._enabled(exec_masks, width))
-        self.storage[rows, start:end] = block
-
-    # -- trace helpers --------------------------------------------------------
-
-    def _append_entries(self, pc: int, rows: np.ndarray,
-                        exec_masks: np.ndarray) -> None:
-        traces = self.traces
-        for row, mask in zip(rows.tolist(), exec_masks.tolist()):
-            traces[row].append((pc, mask, None))
+        block = self.storage[rows, lo:hi]
+        np.copyto(block.view(view), values,
+                  where=self._enabled(exec_masks, width))
+        self.storage[rows, lo:hi] = block

@@ -40,8 +40,8 @@ from ..isa.opcodes import Opcode, Pipe
 from ..isa.registers import RegRef
 from ..memory.cache import LINE_BYTES
 from ..memory.hierarchy import MemoryHierarchy
-from .grf import _mask_bools, masked_write, operand_plan
-from .interp import alu_plan, gather, run_alu, scatter
+from .grf import _mask_bools
+from .interp import _offsets, _transfer, alu_plan, mem_plan, run_alu, run_slm
 from .maskstack import pred_mask
 from .pipes import PipeSet
 from .thread import EUThread, ThreadState
@@ -543,10 +543,11 @@ class ExecutionUnit:
         ``aux`` the SLM conflict cycles or the global cache lines of a
         memory message that is not suppressed.
 
-        ALU and memory instructions run from their cached interp plans
-        (:func:`~repro.eu.interp.alu_plan`, :func:`_mem_plan`), built on
-        first execution.  The caller holds ``np.errstate(all="ignore")``
-        for the whole run (see :meth:`step`).
+        ALU and memory instructions run from their cached plans
+        (:func:`~repro.eu.interp.alu_plan`,
+        :func:`~repro.eu.interp.mem_plan`), built on first execution.
+        The caller holds ``np.errstate(all="ignore")`` for the whole run
+        (see :meth:`step`).
         """
         masks = thread.masks
         next_pc: Optional[int] = None
@@ -563,10 +564,13 @@ class ExecutionUnit:
                     selector)
         elif kind >= _SLM:
             mask = masks.exec_mask(pred)
-            plan = _mem_plan(inst)
-            if mask:
-                aux = (_do_slm(thread, plan, mask) if kind == _SLM
-                       else _do_global(thread, plan, mask))
+            plan = mem_plan(inst)
+            if mask and kind == _SLM:
+                wg = thread.workgroup
+                aux = run_slm(thread.grf._storage, plan, wg and wg.slm,
+                              wg and wg.slm_timing, mask, thread.program.name)
+            elif mask:
+                aux = _do_global(thread, plan, mask)
         elif kind == _CTRL:
             next_pc = masks.control(inst, pred, thread.program.instructions)
             mask = masks.current
@@ -576,63 +580,6 @@ class ExecutionUnit:
             mask = masks.current
         thread.advance(next_pc)
         return mask, aux
-
-
-def _mem_plan(inst: Instruction) -> tuple:
-    """Interp plan of a memory message, cached on it.
-
-    ``(address, data, dst, dtype, surface, width)``: the address, store
-    data and load destination operands as ``(lo, hi, view)`` GRF slot
-    bounds and view dtype (None where the message has no such operand),
-    the element type and the global surface index.  Built on the first
-    execution, which raises any GRF overflow.
-    """
-    plan = inst.__dict__.get("_mem_plan")
-    if plan is not None:
-        return plan
-    width = inst.width
-    sources = [operand_plan(src, width) for src in inst.sources]
-    data = sources[1] if len(sources) > 1 else None
-    dst = operand_plan(inst.dst, width) if data is None else None
-    plan = inst.__dict__["_mem_plan"] = (
-        sources[0], data, dst, inst.dtype, inst.surface, width)
-    return plan
-
-
-def _offsets(storage: np.ndarray, plan: tuple) -> np.ndarray:
-    """The address operand's lanes, copied: a load may overwrite the
-    address registers before the cache lines are taken from them."""
-    lo, hi, view = plan[0]
-    return storage[lo:hi].view(view).copy()
-
-
-def _transfer(storage: np.ndarray, plan: tuple, buffer: np.ndarray,
-              offsets: np.ndarray, exec_mask: int) -> None:
-    """Gather *buffer* into the load destination, or scatter the store
-    data into it."""
-    _, data, dst, dtype, _, width = plan
-    if data is None:
-        lo, hi, view = dst
-        masked_write(storage[lo:hi].view(view),
-                     gather(buffer, offsets, exec_mask, dtype),
-                     exec_mask, width)
-    else:
-        lo, hi, view = data
-        scatter(buffer, offsets, storage[lo:hi].view(view), exec_mask, dtype)
-
-
-def _do_slm(thread: EUThread, plan: tuple, exec_mask: int) -> int:
-    """Execute an SLM message; return its bank-conflict cycles."""
-    storage = thread.grf._storage
-    offsets = _offsets(storage, plan)
-    wg = thread.workgroup
-    if wg is None or wg.slm is None:
-        raise RuntimeError(
-            f"kernel {thread.program.name!r} uses SLM but none was allocated"
-        )
-    cycles = wg.slm_timing.access_cycles(offsets, exec_mask)
-    _transfer(storage, plan, wg.slm.data, offsets, exec_mask)
-    return cycles
 
 
 def _do_global(thread: EUThread, plan: tuple, exec_mask: int) -> list:

@@ -22,14 +22,14 @@ from ..isa.types import SLOTS_PER_REG, DType
 
 
 #: 32-bit slots in one thread's register file.
-_NUM_SLOTS = NUM_GRF_REGS * SLOTS_PER_REG
+NUM_SLOTS = NUM_GRF_REGS * SLOTS_PER_REG
 
 
 class RegisterFile:
     """Typeless 128 x 256-bit register storage with typed operand access."""
 
     def __init__(self) -> None:
-        self._storage = np.zeros(_NUM_SLOTS, dtype=np.uint32)
+        self._storage = np.zeros(NUM_SLOTS, dtype=np.uint32)
 
     def _operand_view(self, ref: RegRef, width: int) -> np.ndarray:
         """Typed view of the *width* lanes starting at *ref*."""
@@ -70,7 +70,7 @@ def operand_plan(ref: RegRef, width: int) -> tuple:
     if slots == 0:  # sub-32-bit widths never occur; guard anyway
         slots = 1
     end_slot = start_slot + slots
-    if end_slot > _NUM_SLOTS:
+    if end_slot > NUM_SLOTS:
         raise ValueError(
             f"operand {ref} at SIMD{width} overflows the GRF "
             f"(slots {start_slot}..{end_slot - 1})"

@@ -4,9 +4,10 @@ The simulator follows the paper's GPGenSim structure: a functional model
 computes architectural state (registers, flags, memory) while the timing
 model charges cycles.  This module is the functional half for ALU and
 memory instructions; control flow lives in :mod:`repro.eu.maskstack`.
-The interp engine runs an ALU instruction from its cached execution
-plan (:func:`alu_plan`, :func:`run_alu`); the batched engine shares only
-the formulas (:func:`alu_value`) and the offset checks.
+Both functional models read an instruction's operands from its cached
+execution plan (:func:`alu_plan`, :func:`mem_plan`): the interp engine
+runs it on one thread's GRF (:func:`run_alu`, :func:`run_slm`), the
+batched engine on a ``(threads, slots)`` block.
 
 All arithmetic uses numpy with the instruction's data type, so lane
 values behave like the 32/64-bit hardware types (int wrap-around, IEEE
@@ -72,7 +73,7 @@ _FORMULA, _CMP, _SEL = range(3)
 
 
 def alu_plan(inst: Instruction) -> tuple:
-    """Interp execution plan of an ALU instruction, cached on it.
+    """Execution plan of an ALU instruction, cached on it.
 
     ``(kind, sources, fn, dtype, dst, width)``, the operand work that
     does not change between issues, resolved once:
@@ -81,14 +82,19 @@ def alu_plan(inst: Instruction) -> tuple:
       convert)`` -- storage slot bounds, view dtype, and the dtype to
       convert to (None when the operand already has it) -- or, for an
       immediate, one read-only pre-broadcast array.
-    * ``fn``: the :func:`alu_value` formula, or for CMP the comparison.
+    * ``fn``: the opcode's formula ``fn(srcs, dtype)``, the one
+      definition of every ALU op but CMP and SEL; for CMP the
+      comparison.
     * ``dst``: the destination's ``(lo, hi, view)``; for CMP the flag
       register index.
 
-    Instructions are immutable after program finalization, and only
-    the interp engine builds plans.  Operand errors (``TypeError``,
-    GRF overflow ``ValueError``, ``NotImplementedError``) surface here,
-    on the first execution, in the order the operands are read.
+    Instructions are immutable after program finalization and a plan
+    depends on nothing else, so both functional models run from it:
+    the interp engine on one thread's slots (:func:`run_alu`), the
+    batched engine on a ``(threads, slots)`` block, across whose rows
+    an immediate broadcasts.  Operand errors (``TypeError``, GRF
+    overflow ``ValueError``, ``NotImplementedError``) surface here, on
+    the first execution, in the order the operands are read.
     """
     plan = inst.__dict__.get("_alu_plan")
     if plan is not None:
@@ -157,18 +163,6 @@ def run_alu(plan: tuple, exec_mask: int, storage: np.ndarray,
     masked_write(storage[lo:hi].view(view), result, exec_mask, width)
 
 
-def alu_value(op: Opcode, srcs: List[np.ndarray], dtype: DType) -> np.ndarray:
-    """Value of every ALU op except CMP and SEL, as a *dtype* array.
-
-    The one definition of the ALU formulas for both engines: *srcs* may
-    be one thread's lanes (interp) or a ``(threads, lanes)`` block
-    (the batched engine).  The caller reads CVT's source in its source
-    type and every other source in *dtype*, and suppresses numpy's
-    floating-point warnings (IEEE results, as the hardware gives).
-    """
-    return np.asarray(_formula(op)(srcs, dtype), dtype=dtype.np_dtype)
-
-
 def _formula(op: Opcode):
     formula = _ALU_FORMULAS.get(op)
     if formula is None:
@@ -185,7 +179,9 @@ def _shl(a: np.ndarray, b: np.ndarray, dtype: DType) -> np.ndarray:
             ).astype(dtype.np_dtype)
 
 
-#: Opcode -> ``formula(srcs, dtype)`` for :func:`alu_value`.
+#: Opcode -> ``formula(srcs, dtype)``: *srcs* are one thread's lanes or a
+#: ``(threads, lanes)`` block, CVT's source read in its source type and
+#: every other source in *dtype*.
 _ALU_FORMULAS = {
     Opcode.MOV: lambda s, dt: s[0],
     Opcode.CVT: lambda s, dt: s[0].astype(dt.np_dtype),
@@ -221,6 +217,67 @@ def _int_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     safe = np.where(b == 0, 1, b)
     q = a // safe
     return np.where(b == 0, 0, q).astype(a.dtype)
+
+
+def mem_plan(inst: Instruction) -> tuple:
+    """Execution plan of a memory message, cached on it.
+
+    ``(address, data, dst, dtype, surface, width)``: the address, store
+    data and load destination operands as ``(lo, hi, view)`` GRF slot
+    bounds and view dtype (None where the message has no such operand),
+    the element type and the global surface index.  Built on the first
+    execution by either functional model, which raises any GRF overflow.
+    """
+    plan = inst.__dict__.get("_mem_plan")
+    if plan is not None:
+        return plan
+    width = inst.width
+    sources = [operand_plan(src, width) for src in inst.sources]
+    data = sources[1] if len(sources) > 1 else None
+    dst = operand_plan(inst.dst, width) if data is None else None
+    plan = inst.__dict__["_mem_plan"] = (
+        sources[0], data, dst, inst.dtype, inst.surface, width)
+    return plan
+
+
+def _offsets(storage: np.ndarray, plan: tuple) -> np.ndarray:
+    """The address operand's lanes, copied: a load may overwrite the
+    address registers before the cache lines are taken from them."""
+    lo, hi, view = plan[0]
+    return storage[lo:hi].view(view).copy()
+
+
+def _transfer(storage: np.ndarray, plan: tuple, buffer: np.ndarray,
+              offsets: np.ndarray, exec_mask: int) -> None:
+    """Gather *buffer* into the load destination, or scatter the store
+    data into it."""
+    _, data, dst, dtype, _, width = plan
+    if data is None:
+        lo, hi, view = dst
+        masked_write(storage[lo:hi].view(view),
+                     gather(buffer, offsets, exec_mask, dtype),
+                     exec_mask, width)
+    else:
+        lo, hi, view = data
+        scatter(buffer, offsets, storage[lo:hi].view(view), exec_mask, dtype)
+
+
+def run_slm(storage: np.ndarray, plan: tuple, slm, timing, exec_mask: int,
+            kernel: str) -> int:
+    """Execute a :func:`mem_plan` SLM message on one thread's GRF
+    *storage*; return its bank-conflict cycles.
+
+    *slm* and *timing* are the workgroup's allocation (None when the
+    launch allocated none, which raises) and bank model.
+    """
+    if slm is None:
+        raise RuntimeError(
+            f"kernel {kernel!r} uses SLM but none was allocated"
+        )
+    offsets = _offsets(storage, plan)
+    cycles = timing.access_cycles(offsets, exec_mask)
+    _transfer(storage, plan, slm.data, offsets, exec_mask)
+    return cycles
 
 
 def gather(surface: np.ndarray, offsets: np.ndarray, exec_mask: int, dtype: DType) -> np.ndarray:

@@ -67,10 +67,11 @@ class ReplayThread(EUThread):
 class ReplayLaunch(Launch):
     """A launch that materializes :class:`ReplayThread` objects.
 
-    Thread enumeration order is inherited from :class:`Launch`, and the
-    batch engine enumerates identically, so ``traces[thread_id]`` is the
-    trace of the thread materialized with that id.  Dispatch payloads are
-    skipped: architectural state already evolved in the functional pass.
+    Threads come from :func:`~repro.gpu.dispatch.workgroup_threads`, the
+    enumeration the functional pass lays its rows out by, so
+    ``traces[thread_id]`` is the trace of the thread materialized with
+    that id.  Dispatch payloads are skipped: architectural state already
+    evolved in the functional pass.
     """
 
     def __init__(self, *args, traces: Optional[List[List[tuple]]] = None,
@@ -96,5 +97,4 @@ class ReplayLaunch(Launch):
 
     def _write_payload(self, thread: EUThread, global_base: int,
                        local_base: int) -> None:
-        # Scalar-argument presence was validated by the functional pass.
         pass

@@ -11,11 +11,12 @@ dispatch mask) into its fresh GRF.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..eu.eu import ExecutionUnit
+from ..eu.grf import operand_plan
 from ..eu.thread import EUThread, ThreadState
 from ..isa.program import ParamKind, Program
 from ..isa.registers import RegRef
@@ -109,6 +110,9 @@ class Launch:
         self._done_frontier = 0
         #: Optional run-level TelemetryCollector (None when off).
         self.telemetry = telemetry
+        #: Built here, so a missing scalar argument fails the launch
+        #: before anything is dispatched.
+        self.payload = DispatchPayload(program, self.scalars)
 
     @property
     def all_dispatched(self) -> bool:
@@ -170,25 +174,16 @@ class Launch:
     def _materialize(self, wg_id: int, now: int) -> WorkgroupInstance:
         config = self.config
         program = self.program
-        width = program.simd_width
-        slm = SlmAllocation(program.slm_bytes) if program.slm_bytes else None
-        slm_timing = SlmTiming(config.slm_latency, config.slm_banks)
-        instance = WorkgroupInstance(wg_id, self.surfaces, slm, slm_timing)
-
-        wg_base = wg_id * self.local_size
-        wg_items = min(self.local_size, self.global_size - wg_base)
-        for t in range(self.threads_per_wg):
-            local_base = t * width
-            if local_base >= wg_items:
-                break
-            lanes_valid = min(width, wg_items - local_base)
-            dispatch_mask = (1 << lanes_valid) - 1
+        instance = WorkgroupInstance(wg_id, self.surfaces,
+                                     *workgroup_slm(program, config))
+        for global_base, local_base, dispatch_mask in workgroup_threads(
+                wg_id, self.global_size, self.local_size, program.simd_width):
             thread = self._make_thread(
                 self._thread_counter, dispatch_mask, instance,
                 now + config.dispatch_latency,
             )
             self._thread_counter += 1
-            self._write_payload(thread, wg_base + local_base, local_base)
+            self._write_payload(thread, global_base, local_base)
             instance.threads.append(thread)
         return instance
 
@@ -203,24 +198,76 @@ class Launch:
             start_cycle=start_cycle,
         )
 
-    def _write_payload(self, thread: EUThread, global_base: int, local_base: int) -> None:
-        program = self.program
+    def _write_payload(self, thread: EUThread, global_base: int,
+                       local_base: int) -> None:
+        self.payload.write(thread.grf._storage, global_base, local_base)
+
+
+def workgroup_threads(wg_id: int, global_size: int, local_size: int,
+                      width: int) -> Iterator[Tuple[int, int, int]]:
+    """The hardware threads of workgroup *wg_id*, in thread-id order.
+
+    Yields ``(global_base, local_base, dispatch_mask)`` per thread: the
+    workgroup's work-items sliced into *width*-lane threads, the last one
+    partial when the NDRange ends inside it.  The one thread geometry of
+    a launch: :meth:`Launch._materialize` numbers the threads it yields
+    in this order, and the fast engine's functional pass lays out its
+    rows the same way, so trace index *i* is the thread with
+    ``thread_id == i``.
+    """
+    wg_base = wg_id * local_size
+    wg_items = min(local_size, global_size - wg_base)
+    for local_base in range(0, wg_items, width):
+        lanes_valid = min(width, wg_items - local_base)
+        yield wg_base + local_base, local_base, (1 << lanes_valid) - 1
+
+
+def workgroup_slm(program: Program, config) -> Tuple[Optional[SlmAllocation],
+                                                     SlmTiming]:
+    """A new workgroup's shared local memory: its allocation (None when
+    the kernel uses none) and its bank-timing model."""
+    slm = SlmAllocation(program.slm_bytes) if program.slm_bytes else None
+    return slm, SlmTiming(config.slm_latency, config.slm_banks)
+
+
+class DispatchPayload:
+    """The dispatch payload of one launch, as GRF slot bounds.
+
+    ``gid``/``lid`` are the :func:`~repro.eu.grf.operand_plan` bounds of
+    the global- and local-id registers (None when the kernel reads
+    neither); ``constants`` pairs each scalar argument's bounds with its
+    value.  Building it raises the one ``ValueError`` for a missing
+    scalar argument.
+    """
+
+    def __init__(self, program: Program, scalars: Dict[str, float]) -> None:
         width = program.simd_width
-        lanes = np.arange(width, dtype=np.int32)
+        self.lanes = np.arange(width, dtype=np.int32)
+        self.gid = self.lid = None
         if program.gid_reg is not None:
-            thread.grf.broadcast(RegRef(program.gid_reg, DType.I32), width,
-                                 lanes + global_base)
+            self.gid = operand_plan(RegRef(program.gid_reg, DType.I32), width)
         if program.lid_reg is not None:
-            thread.grf.broadcast(RegRef(program.lid_reg, DType.I32), width,
-                                 lanes + local_base)
+            self.lid = operand_plan(RegRef(program.lid_reg, DType.I32), width)
+        self.constants = []
         for param in program.scalar_params():
-            if param.name not in self.scalars:
+            if param.name not in scalars:
                 raise ValueError(
                     f"kernel {program.name!r} missing scalar argument {param.name!r}"
                 )
             dtype = DType.F32 if param.kind is ParamKind.SCALAR_F32 else DType.I32
-            thread.grf.broadcast(RegRef(param.reg, dtype), width,
-                                 self.scalars[param.name])
+            self.constants.append((operand_plan(RegRef(param.reg, dtype), width),
+                                   scalars[param.name]))
+
+    def write(self, storage: np.ndarray, global_base, local_base) -> None:
+        """Write the payload into GRF *storage*: one thread's slots with
+        integer bases, or a ``(threads, slots)`` block with
+        ``(threads, 1)`` base columns."""
+        for plan, base in ((self.gid, global_base), (self.lid, local_base)):
+            if plan is not None:
+                lo, hi, view = plan
+                storage[..., lo:hi].view(view)[...] = self.lanes + base
+        for (lo, hi, view), value in self.constants:
+            storage[..., lo:hi].view(view)[...] = value
 
 
 def bind_surfaces(program: Program, buffers: Dict[str, np.ndarray]) -> List[np.ndarray]:

@@ -142,7 +142,7 @@ def crash_once(marker: str = "", mode: Optional[str] = None, n: int = 64,
     Args:
         marker: path to a sentinel file.  When given, the fault fires
             only if the file does not exist yet (and creates it first),
-            so the *next* attempt — a pool retry or the serial fallback
+            so the *next* attempt — a pool retry, or a one-worker round
             after a pool breakdown — succeeds.  An empty marker means
             "always crash".
         mode: ``"raise"`` raises ``RuntimeError`` (an unclassified

@@ -28,7 +28,7 @@ The engine is also *fault-tolerant* (a multi-hour regeneration pass must
 survive a single bad job): per-job wall-clock timeouts backed by the
 simulator's own watchdog, bounded retry on the :mod:`repro.retry`
 schedule for transient worker failures, graceful degradation from the
-process pool to in-process serial execution when the pool breaks,
+process pool to one-worker pools when the pool breaks,
 crash-safe cache writes with quarantine of corrupted entries, and a
 :class:`CheckpointJournal` that lets ``repro sweep --resume`` skip
 already-completed jobs after a crash or Ctrl-C.  Failures are typed
@@ -547,7 +547,8 @@ class RunStats:
     retried: int = 0
     #: Failures that were wall-clock timeouts.
     timeouts: int = 0
-    #: Times the process pool broke and execution fell back to serial.
+    #: Times the process pool broke and execution fell back to
+    #: one-worker pools.
     degraded: int = 0
     #: Fast-engine launches that ran their functional pass, and launches
     #: that replayed a pass a same-group job under another policy made
@@ -654,12 +655,14 @@ class Runner:
         once; every requested job still appears as a key in the returned
         mapping, so callers can look results up with their own objects.
 
-        *trace_sinks* maps jobs of the batch to lists that collect their
+        *trace_sinks* maps jobs of the batch to sinks that collect their
         runs' :class:`~repro.trace.format.TraceEvent` streams (see
-        :func:`~repro.kernels.workload.run_workload`).  A traced job is
+        :func:`~repro.kernels.workload.run_workload`): anything with
+        ``append`` and ``clear``, such as a list or a
+        :class:`~repro.trace.profiler.ProfileSink`.  A traced job is
         never answered from the cache and always executes in this
-        process, so its sink is always filled; a retried attempt starts
-        it afresh.  Otherwise it is an ordinary job: its result is
+        process, so its sink is always filled; a retried attempt clears
+        it and starts afresh.  Otherwise it is an ordinary job: its result is
         stored, counted and emitted as "executed", and the sink, a pure
         observer, leaves the result bit-identical to an untraced run.
 
@@ -767,12 +770,9 @@ class Runner:
 
     def _run_serial(self, jobs: List[Job], results, stats, emit,
                     queued_since: Optional[float] = None,
-                    attempts: Optional[Dict[str, int]] = None,
                     sinks: Optional[Dict[str, List]] = None) -> None:
         """Run *jobs* in-process, one policy group at a time.
 
-        *attempts* maps a job key to the retries it already spent in a
-        pool that broke, so the budget covers all of a job's runs.
         *sinks* maps a job key to its trace sink (see :meth:`run`).
 
         Jobs of a group share a :class:`~repro.eu.batch.FunctionalMemo`,
@@ -788,8 +788,7 @@ class Runner:
             try:
                 for job in group:
                     self._run_local(job, results, stats, emit, queued_since,
-                                    memo, (attempts or {}).get(job.key, 0),
-                                    (sinks or {}).get(job.key))
+                                    memo, (sinks or {}).get(job.key))
             finally:
                 stats.functional_passes += memo.passes
                 stats.functional_reused += memo.reused
@@ -797,14 +796,14 @@ class Runner:
 
     def _run_local(self, job: Job, results, stats, emit,
                    queued_since: Optional[float] = None,
-                   memo=None, attempt: int = 0,
-                   sink: Optional[List] = None) -> None:
+                   memo=None, sink: Optional[List] = None) -> None:
         from .kernels.workload import run_workload
 
         # Time spent behind earlier jobs of this batch, measured up to
         # the moment execution (first attempt) begins.
         queue_wait = (max(0.0, time.monotonic() - queued_since)
                       if queued_since is not None else 0.0)
+        attempt = 0
         while True:
             if sink is not None:
                 sink.clear()  # drop a failed attempt's partial trace
@@ -857,40 +856,44 @@ class Runner:
         ``ProcessPoolExecutor``; jobs whose failure is transient come
         back for the next round (bounded by ``retries``).  If a round's
         pool breaks — a worker was OOM-killed, segfaulted, or had to be
-        terminated for overrunning its deadline — execution degrades to
-        in-process serial for whatever is left, each job keeping the
-        retries it spent.  A round never sleeps: the retry delay its
-        failures owe is waited out between rounds, so siblings keep
-        finishing and starting meanwhile.
+        terminated for overrunning its deadline — the jobs left run in
+        one-worker rounds.  A break in a wider round charges no one: any
+        of its workers may have died.  A break in a one-worker round is
+        charged to the one job that was running, as a transient failure,
+        so a job that kills every worker it runs on fails alone once its
+        retries are spent, and never runs in this process.  A round
+        never sleeps: the retry delay its failures owe is waited out
+        between rounds, so siblings keep finishing and starting
+        meanwhile.
         """
         remaining = list(named)
         attempt = {job.key: 0 for job in named}
+        workers = self.workers
         queued_at = (queued_since if queued_since is not None
                      else time.monotonic())
         while remaining:
             remaining, pool_died, retry_at = self._pool_round(
-                remaining, attempt, results, stats, emit, queued_at)
+                remaining, attempt, workers, results, stats, emit, queued_at)
             owed = retry_at - time.monotonic()
             if owed > 0:
                 retry.sleep(owed)
-            if pool_died and remaining:
+            if pool_died and remaining and workers > 1:
                 stats.degraded += 1
-                self._run_serial(remaining, results, stats, emit, queued_at,
-                                 attempt)
-                return
+                workers = 1
             # Retry rounds measure waiting from the moment the jobs
             # became runnable again, not from the original batch start.
             queued_at = time.monotonic()
 
     def _pool_round(self, jobs: List[Job], attempt: Dict[str, int],
-                    results, stats, emit,
+                    workers: int, results, stats, emit,
                     queued_at: float) -> Tuple[List[Job], bool, float]:
-        """One process-pool pass; returns (jobs to rerun, pool died?,
-        the monotonic time the retried jobs' delay runs out)."""
+        """One pass over a pool of up to *workers* processes; returns
+        (jobs to rerun, pool died?, the monotonic time the retried jobs'
+        delay runs out)."""
         rerun: List[Job] = []
         retry_at = 0.0
         broken = False
-        workers = min(self.workers, len(jobs))
+        workers = min(workers, len(jobs))
         pool = ProcessPoolExecutor(max_workers=workers)
         futures: Dict[Any, Job] = {}
         started: Dict[Any, float] = {}
@@ -927,10 +930,14 @@ class Runner:
                     queue_wait = waited[future]
                     try:
                         result = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        rerun.append(job)
                     except Exception as exc:
+                        if isinstance(exc, BrokenProcessPool):
+                            broken = True
+                            if workers > 1:
+                                # Any worker may have died: charge no one.
+                                rerun.append(job)
+                                continue
+                            # The one worker died running this job.
                         error = self._failure(job, exc, attempt[job.key],
                                               stats)
                         if error is None:

@@ -11,7 +11,7 @@ reports SIMD efficiency, utilization breakdown, and EU-cycle reductions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 from ..core.policy import CompactionPolicy
 from ..core.stats import CompactionStats, is_divergent
@@ -55,17 +55,48 @@ class TraceProfile:
         return out
 
 
+class ProfileSink:
+    """A trace sink that profiles events as they arrive.
+
+    It goes where a ``trace_sink`` list would, but holds no event
+    stream: :meth:`append` counts each ``(mask, width, dtype_factor)``
+    signature, and :meth:`stats` folds the counts in first-seen order
+    with :meth:`CompactionStats.record_bulk`, which is bit-identical to
+    recording every event (the fold both engines apply to their issue
+    counts).  :meth:`clear` starts over, as a retried run does.
+    """
+
+    def __init__(self, min_cycles: int = 1) -> None:
+        self.min_cycles = min_cycles
+        #: Signature -> events appended since the last :meth:`clear`.
+        self.counts: Dict[Tuple[int, int, int], int] = {}
+
+    def append(self, event: TraceEvent) -> None:
+        key = (event.mask, event.width, event.dtype_factor)
+        self.counts[key] = self.counts.get(key, 0) + 1
+
+    def clear(self) -> None:
+        self.counts.clear()
+
+    def stats(self) -> CompactionStats:
+        stats = CompactionStats(min_cycles=self.min_cycles)
+        for (mask, width, factor), n in self.counts.items():
+            stats.record_bulk(mask, width, factor, count=n)
+        return stats
+
+
 def profile_trace(name: str, events: Iterable[TraceEvent],
                   min_cycles: int = 1) -> TraceProfile:
-    """Replay *events* through the compaction model.
+    """Replay *events* through the compaction model (a
+    :class:`ProfileSink`).
 
     ``min_cycles=1`` matches the execution-driven simulator's convention
     that a fully masked-off instruction still spends an issue slot.
     """
-    stats = CompactionStats(min_cycles=min_cycles)
+    sink = ProfileSink(min_cycles)
     for event in events:
-        stats.record(event.mask, event.width, event.dtype_factor)
-    return TraceProfile(name=name, stats=stats)
+        sink.append(event)
+    return TraceProfile(name=name, stats=sink.stats())
 
 
 def profile_many(traces: Dict[str, Iterable[TraceEvent]],

@@ -271,7 +271,7 @@ def run_differential(
     batch = set(jobs.values())
     traced = [run for run in traced if run.job in batch]
     results = engine.run(jobs.values(), strict=False,
-                         trace_sinks={run.job: run.events for run in traced})
+                         trace_sinks={run.job: run.sink for run in traced})
     for run in traced:
         run.settle(results, engine)
     failures = engine.last_stats.failures

@@ -27,8 +27,8 @@ accumulators, and every paper-level invariant is asserted per case:
 evaluation paths of the paper (Section 5.1): the execution-driven
 simulator's per-run ALU statistics must match an offline
 :func:`~repro.trace.profiler.profile_trace` replay of the very trace the
-run emitted.  The run is a :class:`TracedRun`: a runner job with a trace
-sink attached, which :func:`~repro.verify.run_verify` hands to the
+run emitted.  The run is a :class:`TracedRun`: a runner job with a
+profiling sink attached, which :func:`~repro.verify.run_verify` hands to the
 differential batch so the check costs no simulation of its own.
 """
 
@@ -53,7 +53,7 @@ from ..gpu.config import GpuConfig
 from ..gpu.results import KernelRunResult
 from ..runner import Job, Runner, default_runner
 from ..trace.format import TraceEvent
-from ..trace.profiler import profile_trace
+from ..trace.profiler import ProfileSink, profile_trace
 from .report import FAILED_RUN, PropertyReport, Violation
 
 #: SIMD widths the fuzzer draws from (the multi-quad widths — SIMD1/4
@@ -284,17 +284,18 @@ def fuzz_masks(
 
 
 class TracedRun:
-    """One workload's base-policy job with a trace sink attached.
+    """One workload's base-policy job with a profiling sink attached.
 
     Whichever :meth:`Runner.run <repro.runner.Runner.run>` batch executes
-    :attr:`job` fills :attr:`events` and then :meth:`settle` records the
+    :attr:`job` profiles its trace into :attr:`sink` as the run emits it
+    (no event stream is kept), and then :meth:`settle` records the
     job's result or failure, so the replay check reads the very run that
     batch produced.
     """
 
     def __init__(self, name: str, config: GpuConfig) -> None:
         self.job = Job(name, config)
-        self.events: List[TraceEvent] = []
+        self.sink = ProfileSink(min_cycles=1)
         self.result: Optional[KernelRunResult] = None
         self.error: Optional[BaseException] = None
 
@@ -317,9 +318,10 @@ def verify_sim_vs_profiler(
 ) -> PropertyReport:
     """Cross-check the simulator against the trace profiler per workload.
 
-    Replays each workload's captured event stream through
-    :func:`~repro.trace.profiler.profile_trace` and requires the offline
-    statistics to match the simulator's own ALU accumulator of the same
+    Replays each workload's event stream, as the run emits it, through
+    a :class:`~repro.trace.profiler.ProfileSink` (the replay of
+    :func:`~repro.trace.profiler.profile_trace`) and requires the
+    offline statistics to match the simulator's own ALU accumulator of the same
     run exactly (modulo the RF-access counters, which traces cannot
     carry).  This is the paper's two-methodology consistency argument
     made executable.
@@ -338,7 +340,7 @@ def verify_sim_vs_profiler(
     fresh = [run for run in runs if not run.done]
     if fresh:
         results = engine.run([run.job for run in fresh], strict=False,
-                             trace_sinks={run.job: run.events
+                             trace_sinks={run.job: run.sink
                                           for run in fresh})
         for run in fresh:
             run.settle(results, engine)
@@ -353,7 +355,7 @@ def verify_sim_vs_profiler(
                         f"{describe(run.error)}"))
             continue
         alu_stats = run.result.alu_stats
-        replayed = profile_trace(name, run.events, min_cycles=1).stats
+        replayed = run.sink.stats()
         sim_fp, trace_fp = _fingerprint(alu_stats), _fingerprint(replayed)
         if sim_fp != trace_fp:
             diffs = [key for key in sim_fp if sim_fp[key] != trace_fp[key]]
@@ -361,6 +363,6 @@ def verify_sim_vs_profiler(
                 scope="property:sim-vs-profiler", check="alu-stats",
                 message=f"{name}: trace replay disagrees with the "
                         f"simulator's ALU stats in: {', '.join(diffs)} "
-                        f"({len(run.events)} traced events, simulator "
-                        f"counted {alu_stats.instructions})"))
+                        f"({sum(run.sink.counts.values())} traced events, "
+                        f"simulator counted {alu_stats.instructions})"))
     return PropertyReport("sim-vs-profiler", len(runs), violations)

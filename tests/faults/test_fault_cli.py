@@ -89,6 +89,35 @@ class TestSweepExitCodes:
         assert failure["exit_code"] == 3
         assert "DeadlockError" in failure["error"]
 
+    def test_worker_that_always_dies_fails_alone(self, tmp_path):
+        # Regression: after the pool broke, the fallback ran the remaining
+        # jobs in the parent process, so a job that kills every process
+        # it runs in took the CLI down with it (exit 23, no artifact).
+        # A subprocess, because the fault kills the process running it.
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {k: v for k, v in os.environ.items()
+               if k != "REPRO_FAULT_MARKER"}
+        env.update(REPRO_FAULT_MODE="exit", PYTHONPATH=str(src))
+        out = tmp_path / "crash.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep",
+             "--workloads", "fault_crash,va,dp", "--policies", "ivb",
+             "--jobs", "2", "--no-cache", "--json", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 5, proc.stderr
+        artifact = json.loads(out.read_text())
+        assert [r["workload"] for r in artifact["results"]] == ["va", "dp"]
+        (failure,) = artifact["failures"]
+        assert failure["workload"] == "fault_crash"
+        assert failure["error"].startswith("WorkerCrashError:")
+        assert failure["exit_code"] == 5
+
     def test_healthy_sweep_exits_0(self, tmp_path, capsys):
         rc = main(["sweep", "--workloads", "va", "--policies", "ivb",
                    "--cache-dir", str(tmp_path)])

@@ -201,7 +201,11 @@ class TestOperandErrors:
         assert "_alu_plan" not in inst.__dict__
         np.testing.assert_array_equal(grf.raw(), before)
 
-    def test_overflow_through_a_simulated_run(self):
+    @pytest.mark.parametrize("engine, text", [
+        ("interp", _REGS_TEXT),  # the scan's dependency probe meets it
+        ("fast", _SLOTS_TEXT),   # the batched pass's operand plan meets it
+    ], ids=["interp", "fast"])
+    def test_overflow_through_a_simulated_run(self, engine, text):
         def program():
             return Program(name="ovf", simd_width=16, instructions=[
                 _alu(Opcode.MOV, RegRef(127), [RegRef(0)]),
@@ -210,14 +214,19 @@ class TestOperandErrors:
         with pytest.raises(ValueError) as info:
             program().finalize()
         assert str(info.value) == _REGS_TEXT
-        # Past finalization, the EU scan meets the same operand.
-        eu = ExecutionUnit(0, GpuConfig(num_eus=1),
-                           MemoryHierarchy(MemoryParams()),
-                           CompactionStats(), CompactionStats())
-        eu.add_thread(EUThread(0, program(), FULL16))
+        # Past finalization, each engine's functional model meets the
+        # same operand.
+        config = GpuConfig(num_eus=1, engine=engine)
         with pytest.raises(ValueError) as info:
-            eu.step(0)
-        assert str(info.value) == _REGS_TEXT
+            if engine == "interp":
+                eu = ExecutionUnit(0, config,
+                                   MemoryHierarchy(MemoryParams()),
+                                   CompactionStats(), CompactionStats())
+                eu.add_thread(EUThread(0, program(), FULL16))
+                eu.step(0)
+            else:
+                run_functional(program(), 16, 16, [], {}, config)
+        assert str(info.value) == text
 
     def test_bad_operand_type(self):
         inst = _alu(Opcode.MOV, RegRef(10), ["r0"])

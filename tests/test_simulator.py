@@ -88,11 +88,14 @@ class TestFunctionalExecution:
         with pytest.raises(ValueError, match="missing buffer"):
             GpuSimulator(GpuConfig()).run(prog, 16, buffers={}, scalars={"a": 1.0})
 
-    def test_missing_scalar_rejected(self):
+    @pytest.mark.parametrize("engine", ["interp", "fast"])
+    def test_missing_scalar_rejected(self, engine):
         prog = _axpy_program()
         x = np.zeros(16, dtype=np.float32)
-        with pytest.raises(ValueError, match="missing scalar"):
-            GpuSimulator(GpuConfig()).run(prog, 16, buffers={"x": x, "y": x.copy()})
+        with pytest.raises(ValueError) as info:
+            GpuSimulator(GpuConfig(engine=engine)).run(
+                prog, 16, buffers={"x": x, "y": x.copy()})
+        assert str(info.value) == "kernel 'axpy' missing scalar argument 'a'"
 
     def test_unfinalized_program_rejected(self):
         from repro.isa.program import Program
