@@ -26,7 +26,6 @@ from typing import List, Tuple
 from .quads import (
     QUAD_WIDTH,
     active_quad_count,
-    active_quads,
     clamp_mask,
     num_quads,
     quad_masks,
@@ -118,11 +117,6 @@ def bcc_compressible_cycles(mask: int, width: int) -> int:
     """Number of quad cycles BCC removes relative to the raw baseline."""
     clamp_mask(mask, width)
     return num_quads(width) - active_quad_count(mask, width)
-
-
-def bcc_issued_quads(mask: int, width: int) -> List[int]:
-    """Quad indices whose micro-ops BCC issues (convenience wrapper)."""
-    return active_quads(mask, width)
 
 
 def bcc_register_accesses(mask: int, width: int, num_src: int = 2, num_dst: int = 1) -> int:

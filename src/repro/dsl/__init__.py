@@ -20,7 +20,11 @@ the function into a full registry :class:`~repro.kernels.workload.Workload`
 
 Control flow is structured (`with k.if_(cond): ... k.else_() ...`,
 do-while `with k.while_(cond):`, `k.break_if(cond)`) and mirrors the
-ISA's IF/ELSE/ENDIF and DO/WHILE/BREAK exactly.  Launch parameters are
+ISA's IF/ELSE/ENDIF and DO/WHILE/BREAK exactly (``k.else_()`` emits
+ELSE even when its arm stays empty).  ``buf[i]`` addresses element *i*;
+``buf.bytes[off]`` addresses i32 byte offset *off* as written, with no
+scaling shift and no address reuse, for kernels that spell out their
+own address arithmetic.  Launch parameters are
 auto-derived: the global size is the problem size padded up to a SIMD
 width multiple (hindemith-style), with a bounds guard inserted whenever
 padding occurred.

@@ -246,19 +246,22 @@ class Select(Expr):
 
 
 class Load(Expr):
-    """An element-indexed gather from a buffer argument."""
+    """A gather from a buffer argument at an element index, or with
+    *byte* at an i32 byte offset (``buf.bytes[offset]``)."""
 
-    __slots__ = ("buffer", "index")
+    __slots__ = ("buffer", "index", "byte")
 
-    def __init__(self, buffer, index: Expr) -> None:
+    def __init__(self, buffer, index: Expr, byte: bool = False) -> None:
         super().__init__(buffer.dtype)
         if index.dtype is not DType.I32:
             raise BuildError(
                 f"buffer index must be i32, got {index.dtype.label}")
         self.buffer = buffer
         self.index = index
+        self.byte = byte
 
-    def key(self): return ("load", self.buffer.name, self.index.key())
+    def key(self):
+        return ("load", self.buffer.name, self.byte, self.index.key())
     def uses_vars(self): return self.index.uses_vars()
 
 

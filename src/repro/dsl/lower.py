@@ -19,7 +19,12 @@ kernels in :mod:`repro.kernels` look like:
 
 Address CSE is scoped to the enclosing control-flow region: an address
 first computed inside a divergent arm is not reused outside it, because
-inactive lanes never executed the defining instruction.
+inactive lanes never executed the defining instruction.  A byte-offset
+access (``buf.bytes[offset]``) takes no part in it: its offset is
+evaluated where the access stands, with no ``SHL``, so a kernel spells
+out its own address arithmetic instruction for instruction.
+
+``k.else_()`` emits ``ELSE`` even when the arm it opens stays empty.
 
 Register discipline: kernel state (variables, cached addresses, scalar
 arguments) lives in pinned registers; expression temporaries come from
@@ -205,13 +210,13 @@ class _Lowerer:
                 self._eval_into(self._slot(stmt.var), stmt.value)
                 self._forget_var_addrs(stmt.var)
             elif isinstance(stmt, BufStore):
-                addr = self._addr(stmt.buffer, stmt.index)
+                addr = self._addr(stmt.buffer, stmt.index, stmt.byte)
                 value = self._eval_reg(stmt.value)
                 self.b.store(value, addr, self.surfaces[stmt.buffer.name])
             elif isinstance(stmt, IfStmt):
                 self.b.IF(self._flag(stmt.cond))
                 self._scoped_block(stmt.then)
-                if stmt.orelse:
+                if stmt.has_else:
                     self.b.ELSE()
                     self._scoped_block(stmt.orelse)
                 self.b.ENDIF()
@@ -338,13 +343,16 @@ class _Lowerer:
             b = self._eval_operand(e.b)
             self.b.sel(dst, self._flag(e.cond), a, b)
         elif isinstance(e, Load):
-            addr = self._addr(e.buffer, e.index)
+            addr = self._addr(e.buffer, e.index, e.byte)
             self.b.load(dst, addr, self.surfaces[e.buffer.name])
         else:  # pragma: no cover - expr only builds the above
             raise BuildError(f"unknown expression {e!r}")
 
-    def _addr(self, buffer: BufferHandle, index: Expr) -> RegRef:
-        """Byte-offset register for buffer element *index* (with CSE)."""
+    def _addr(self, buffer: BufferHandle, index: Expr, byte: bool) -> RegRef:
+        """Byte-offset register for buffer element *index* (with CSE),
+        or for byte offset *index*, evaluated where it stands."""
+        if byte:
+            return self._eval_reg(index)
         shift = buffer.dtype.size.bit_length() - 1
         key = ("addr", shift, index.key())
         cacheable = not index.uses_vars()

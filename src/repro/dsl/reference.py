@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..errors import BuildError
+from ..eu.interp import _checked_indices
 from ..isa.types import DType
 from .expr import (
     BinOp,
@@ -150,20 +151,40 @@ class _Reference:
         finally:
             self._loops.pop()
 
+    def _elements(self, access, index: np.ndarray, mask: np.ndarray,
+                  verb: str) -> np.ndarray:
+        """Element indices of a Load/BufStore's enabled lanes (others are
+        0), raising the simulator's errors for a byte offset that is
+        misaligned or out of range and an element index out of range."""
+        data = self.buffers[access.buffer.name]
+        if access.byte:
+            # One row per SIMD thread, so an error names the lane the
+            # simulator names.
+            rows = (-1, self.trace.simd_width)
+            index, _ = _checked_indices(
+                data.view(np.uint8), index.reshape(rows), mask.reshape(rows),
+                access.buffer.dtype, verb)
+            index = index.reshape(-1)
+        else:
+            bad = mask & ((index < 0) | (index >= data.shape[0]))
+            if bad.any():
+                lane = int(np.argmax(bad))
+                raise IndexError(
+                    f"work-item {lane} {verb} {access.buffer.name}"
+                    f"[{int(index[lane])}], beyond its {data.shape[0]} "
+                    f"elements")
+        # Inactive lanes may hold wild indices (their values are never
+        # consumed); zero them so a gather cannot fault.
+        return np.where(mask, index, index.dtype.type(0))
+
     def _store(self, stmt: BufStore, mask: np.ndarray) -> None:
-        data = self.buffers[stmt.buffer.name]
         index = self._eval(stmt.index, mask)
         value = self._eval(stmt.value, mask)
-        bad = mask & ((index < 0) | (index >= data.shape[0]))
-        if bad.any():
-            lane = int(np.argmax(bad))
-            raise IndexError(
-                f"work-item {lane} writes {stmt.buffer.name}[{int(index[lane])}]"
-                f", beyond its {data.shape[0]} elements")
+        index = self._elements(stmt, index, mask, "writes")
         # Fancy assignment applies lanes in ascending order, so scatter
         # conflicts keep the highest work-item's value — matching the
         # interpreter's quad write-back order.
-        data[index[mask]] = value[mask]
+        self.buffers[stmt.buffer.name][index[mask]] = value[mask]
 
     # -- expressions ---------------------------------------------------------
 
@@ -202,18 +223,8 @@ class _Reference:
         raise BuildError(f"unknown expression {e!r}")  # pragma: no cover
 
     def _load(self, e: Load, mask: np.ndarray) -> np.ndarray:
-        data = self.buffers[e.buffer.name]
-        index = self._eval(e.index, mask)
-        bad = mask & ((index < 0) | (index >= data.shape[0]))
-        if bad.any():
-            lane = int(np.argmax(bad))
-            raise IndexError(
-                f"work-item {lane} reads {e.buffer.name}[{int(index[lane])}], "
-                f"beyond its {data.shape[0]} elements")
-        # Inactive lanes may hold wild indices (their values are never
-        # consumed); clamp them so the gather itself cannot fault.
-        safe = np.where(mask, index, 0)
-        out = data[safe]
+        index = self._elements(e, self._eval(e.index, mask), mask, "reads")
+        out = self.buffers[e.buffer.name][index]
         # Disabled lanes read as 0, like the interpreter's gather.
         zero = np.zeros(1, dtype=e.dtype.np_dtype)
         return np.where(mask, out, zero)

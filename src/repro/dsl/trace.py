@@ -48,11 +48,13 @@ class Assign:
 
 @dataclass
 class BufStore:
-    """``buffer[index] = value`` (element-indexed scatter)."""
+    """``buffer[index] = value``, or with *byte* ``buffer.bytes[index] =
+    value`` (a scatter at i32 byte offsets)."""
 
     buffer: "BufferHandle"
     index: Expr
     value: Expr
+    byte: bool = False
 
 
 @dataclass
@@ -60,6 +62,8 @@ class IfStmt:
     cond: Cond
     then: List = field(default_factory=list)
     orelse: List = field(default_factory=list)
+    #: Set by ``k.else_()``: the ELSE is emitted even for an empty arm.
+    has_else: bool = False
 
 
 @dataclass
@@ -114,9 +118,17 @@ class VarHandle(Expr):
 
 
 class BufferHandle:
-    """A global buffer argument: ``h[index]`` loads, ``h[index] = v`` stores."""
+    """A global buffer argument: ``h[index]`` loads, ``h[index] = v`` stores.
+
+    ``h.bytes[offset]`` does the same at an i32 byte offset: the offset
+    is the address as it stands, computed where the access is (no
+    scaling SHL and no reuse of an earlier address).
+    """
 
     __slots__ = ("trace", "name", "dtype", "role")
+
+    #: Whether an index is a byte offset (see :attr:`bytes`).
+    byte = False
 
     def __init__(self, trace: "KernelTrace", name: str, dtype: DType,
                  role: str) -> None:
@@ -125,9 +137,14 @@ class BufferHandle:
         self.dtype = dtype
         self.role = role  # "in" | "out" | "inout"
 
+    @property
+    def bytes(self) -> "BufferHandle":
+        """This buffer, indexed by i32 byte offset."""
+        return _ByteView(self.trace, self.name, self.dtype, self.role)
+
     def __getitem__(self, index: NumberLike) -> Load:
         self.trace.reads.add(self.name)
-        return Load(self, coerce(index, DType.I32))
+        return Load(self, coerce(index, DType.I32), self.byte)
 
     def __setitem__(self, index: NumberLike, value: NumberLike) -> None:
         if self.role == "in":
@@ -136,10 +153,15 @@ class BufferHandle:
                 f"Out or InOut")
         self.trace.writes.add(self.name)
         self.trace._append(BufStore(self, coerce(index, DType.I32),
-                                    coerce(value, self.dtype)))
+                                    coerce(value, self.dtype), self.byte))
 
     def __repr__(self) -> str:
         return f"<buffer {self.name}:{self.dtype.label} ({self.role})>"
+
+
+class _ByteView(BufferHandle):
+    __slots__ = ()
+    byte = True
 
 
 class ScalarHandle(ScalarRef):
@@ -218,8 +240,9 @@ class KernelTrace:
         if not self._open or not isinstance(self._open[-1], IfStmt):
             raise BuildError("k.else_() outside a k.if_() block")
         node = self._open[-1]
-        if self._sinks[-1] is node.orelse:
+        if node.has_else:
             raise BuildError("duplicate k.else_() in one k.if_() block")
+        node.has_else = True
         self._sinks[-1] = node.orelse
 
     @contextlib.contextmanager

@@ -560,14 +560,14 @@ class ExecutionUnit:
                 mask, selector = masks.current, pred
             else:
                 mask, selector = masks.exec_mask(pred), 0
-            run_alu(alu_plan(inst), mask, thread.grf._storage, thread.flags,
+            run_alu(alu_plan(inst), mask, thread.grf.storage, thread.flags,
                     selector)
         elif kind >= _SLM:
             mask = masks.exec_mask(pred)
             plan = mem_plan(inst)
             if mask and kind == _SLM:
                 wg = thread.workgroup
-                aux = run_slm(thread.grf._storage, plan, wg and wg.slm,
+                aux = run_slm(thread.grf.storage, plan, wg and wg.slm,
                               wg and wg.slm_timing, mask, thread.program.name)
             elif mask:
                 aux = _do_global(thread, plan, mask)
@@ -584,7 +584,7 @@ class ExecutionUnit:
 
 def _do_global(thread: EUThread, plan: tuple, exec_mask: int) -> list:
     """Execute a global message; return the sorted distinct cache lines."""
-    storage = thread.grf._storage
+    storage = thread.grf.storage
     offsets = _offsets(storage, plan)
     wg = thread.workgroup
     if wg is None:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..isa.registers import NUM_GRF_REGS, RegRef
-from ..isa.types import SLOTS_PER_REG, DType
+from ..isa.types import SLOTS_PER_REG
 
 
 #: 32-bit slots in one thread's register file.
@@ -26,56 +26,27 @@ NUM_SLOTS = NUM_GRF_REGS * SLOTS_PER_REG
 
 
 class RegisterFile:
-    """Typeless 128 x 256-bit register storage with typed operand access."""
+    """Typeless 128 x 256-bit register storage of one thread.
+
+    Operands address ``storage`` through :func:`operand_plan` and write
+    it through :func:`masked_write`.
+    """
 
     def __init__(self) -> None:
-        self._storage = np.zeros(NUM_SLOTS, dtype=np.uint32)
-
-    def _operand_view(self, ref: RegRef, width: int) -> np.ndarray:
-        """Typed view of the *width* lanes starting at *ref*."""
-        lo, hi, view = operand_plan(ref, width)
-        return self._storage[lo:hi].view(view)
-
-    def read(self, ref: RegRef, width: int) -> np.ndarray:
-        """Read a *width*-lane operand; returns a copy (safe to mutate)."""
-        return self._operand_view(ref, width).copy()
-
-    def write(self, ref: RegRef, width: int, values: np.ndarray, lane_mask: int) -> None:
-        """Write a *width*-lane operand under *lane_mask*.
-
-        Lanes whose mask bit is clear are untouched.  *values* may be any
-        array broadcastable to *width* elements; it is converted to the
-        operand's dtype.
-        """
-        masked_write(self._operand_view(ref, width), values, lane_mask, width)
-
-    def broadcast(self, ref: RegRef, width: int, value) -> None:
-        """Fill all *width* lanes of the operand with *value* (dispatch)."""
-        view = self._operand_view(ref, width)
-        view[:] = value
-
-    def raw(self) -> np.ndarray:
-        """The underlying uint32 storage (for tests and debugging)."""
-        return self._storage
+        self.storage = np.zeros(NUM_SLOTS, dtype=np.uint32)
 
 
 def operand_plan(ref: RegRef, width: int) -> tuple:
     """``(lo, hi, view)``: the storage slots and view dtype of the *width*
     lanes starting at *ref*.
 
-    Raises ``ValueError`` when the operand runs past the last register.
+    Raises the ``ValueError`` of :meth:`RegRef.regs` when the operand
+    runs past the last register.
     """
+    ref.regs(width)
     start_slot = ref.reg * SLOTS_PER_REG
-    slots = width * ref.dtype.size // 4
-    if slots == 0:  # sub-32-bit widths never occur; guard anyway
-        slots = 1
-    end_slot = start_slot + slots
-    if end_slot > NUM_SLOTS:
-        raise ValueError(
-            f"operand {ref} at SIMD{width} overflows the GRF "
-            f"(slots {start_slot}..{end_slot - 1})"
-        )
-    return start_slot, end_slot, ref.dtype.np_dtype
+    slots = max(1, width * ref.dtype.size // 4)
+    return start_slot, start_slot + slots, ref.dtype.np_dtype
 
 
 def masked_write(view: np.ndarray, values, lane_mask: int, width: int) -> None:

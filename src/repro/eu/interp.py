@@ -65,7 +65,7 @@ def execute_alu(
         selector_mask: for SEL, the per-lane selector (flag value).
     """
     with np.errstate(all="ignore"):
-        run_alu(alu_plan(inst), exec_mask, grf._storage, flags, selector_mask)
+        run_alu(alu_plan(inst), exec_mask, grf.storage, flags, selector_mask)
 
 
 #: ALU plan kinds.

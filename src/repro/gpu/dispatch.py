@@ -200,7 +200,7 @@ class Launch:
 
     def _write_payload(self, thread: EUThread, global_base: int,
                        local_base: int) -> None:
-        self.payload.write(thread.grf._storage, global_base, local_base)
+        self.payload.write(thread.grf.storage, global_base, local_base)
 
 
 def workgroup_threads(wg_id: int, global_size: int, local_size: int,

@@ -140,11 +140,6 @@ class KernelBuilder:
         self._params.append(KernelParam(name=name, kind=kind, reg=ref.reg))
         return ref
 
-    @property
-    def num_surfaces(self) -> int:
-        """Number of surface (buffer) arguments declared so far."""
-        return self._next_surface
-
     def surface_arg(self, name: str) -> int:
         """Declare a buffer argument; returns its binding-table index."""
         self._check_param_name(name)

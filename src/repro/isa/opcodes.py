@@ -99,10 +99,6 @@ class Opcode(enum.Enum):
         return self in (Opcode.STORE, Opcode.STORE_SLM)
 
     @property
-    def is_control(self) -> bool:
-        return self.pipe is Pipe.CTRL
-
-    @property
     def writes_dst(self) -> bool:
         """True when the instruction produces a register result."""
         if self.pipe is Pipe.CTRL or self is Opcode.BARRIER or self is Opcode.CMP:

@@ -43,10 +43,6 @@ class DType(enum.Enum):
     def is_float(self) -> bool:
         return self in (DType.F32, DType.F64)
 
-    @property
-    def is_signed(self) -> bool:
-        return self in (DType.F32, DType.F64, DType.I32, DType.I64)
-
     def regs_for_width(self, simd_width: int) -> int:
         """GRF registers a SIMD-*simd_width* operand of this type spans.
 

@@ -4,6 +4,12 @@ Binary search branches on every probe; the back-propagation layer
 diverges on activation sign; the Viterbi step diverges on running-max
 updates; SRAD (speckle-reducing anisotropic diffusion) clamps its
 diffusion coefficient through data-dependent branches.
+
+All four are defined once in :mod:`repro.dsl` and checked bit-exactly
+by its traced reference.  BP's positive path is an empty ``k.else_()``
+arm (the ELSE is still emitted); HMM reads its transition table at
+constant byte offsets and SRAD recomputes its output address, both
+through ``buf.bytes``.
 """
 
 from __future__ import annotations
@@ -11,9 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import dsl
-from ..isa.builder import KernelBuilder
-from ..isa.types import CmpOp, DType
-from .workload import LaunchStep, Workload, given
+from .workload import Workload, assign, given, grid_coords
 
 
 def binary_search(num_keys: int = 1024, table_size: int = 1024,
@@ -55,272 +59,138 @@ def binary_search(num_keys: int = 1024, table_size: int = 1024,
 def backprop_layer(neurons: int = 256, inputs: int = 24,
                    simd_width: int = 16, seed: int = 81) -> Workload:
     """BP: forward layer with a leaky-ReLU branch on the activation sign."""
-    b = KernelBuilder("bp", simd_width)
-    gid = b.global_id()
-    s_w = b.surface_arg("weights")
-    s_x = b.surface_arg("inputs")
-    s_y = b.surface_arg("outputs")
-    nin = b.scalar_arg("nin", DType.I32)
-
-    acc = b.vreg(DType.F32)
-    b.mov(acc, 0.0)
-    base = b.vreg(DType.I32)
-    b.mul(base, gid, nin)
-    i = b.vreg(DType.I32)
-    b.mov(i, 0)
-    addr = b.vreg(DType.I32)
-    w = b.vreg(DType.F32)
-    x = b.vreg(DType.F32)
-    b.do_()
-    b.add(addr, base, i)
-    b.shl(addr, addr, 2)
-    b.load(w, addr, s_w)
-    b.shl(addr, i, 2)
-    b.load(x, addr, s_x)
-    b.mad(acc, w, x, acc)
-    b.add(i, i, 1)
-    more = b.cmp(CmpOp.LT, i, nin)
-    b.while_(more)
-
-    # Leaky ReLU: negative activations take a heavier path (the paper's
-    # BP kernel diverges on the sigmoid-derivative branch similarly).
-    neg = b.cmp(CmpOp.LT, acc, 0.0)
-    with b.if_(neg):
-        b.mul(acc, acc, 0.01)
-        b.exp(w, acc)  # extra EM work on the negative path
-        b.mad(acc, w, 1e-6, acc)
-        b.else_()
-        pass  # identity on the positive path
-    out_addr = b.vreg(DType.I32)
-    b.shl(out_addr, gid, 2)
-    b.store(acc, out_addr, s_y)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
-    weights = rng.standard_normal((neurons, inputs)).astype(np.float32) / inputs
-    x = rng.standard_normal(inputs).astype(np.float32)
-    y = np.zeros(neurons, dtype=np.float32)
+    weight_data = (rng.standard_normal((neurons, inputs)).astype(np.float32)
+                   / inputs).reshape(-1)
+    x_data = rng.standard_normal(inputs).astype(np.float32)
 
-    def check(buffers):
-        acts = (weights.astype(np.float64) @ x).astype(np.float32)
-        negative = acts < 0
-        leaky = acts * np.float32(0.01)
-        ref = np.where(
-            negative,
-            leaky + np.exp(leaky) * np.float32(1e-6),
-            acts,
-        ).astype(np.float32)
-        np.testing.assert_allclose(buffers["outputs"], ref, rtol=2e-3,
-                                   atol=2e-4)
+    @dsl.kernel(n=neurons, simd_width=simd_width, seed=seed, name="bp",
+                category="divergent",
+                description="neural layer with leaky-ReLU sign divergence")
+    def bp(k, weights=dsl.In(size=neurons * inputs, init=given(weight_data)),
+           inputs=dsl.In(size=inputs, init=given(x_data)),
+           outputs=dsl.Out(), nin=dsl.Scalar("i32", default=inputs)):
+        acc = k.var(0.0, "f32")
+        base = k.var(k.gid * nin)
+        i = k.var(0, "i32")
+        with k.while_(i < nin):
+            acc.set(weights[base + i] * inputs[i] + acc)
+            i.set(i + 1)
+        # Leaky ReLU: negative activations take a heavier path (the
+        # paper's BP kernel diverges on the sigmoid-derivative branch
+        # similarly), with extra EM work; the positive path is the
+        # identity, an empty ELSE arm.
+        with k.if_(acc < 0.0):
+            acc.set(acc * 0.01)
+            acc.set(dsl.exp(acc) * 1e-6 + acc)
+            k.else_()
+        outputs[k.gid] = acc
 
-    return Workload(
-        name="bp",
-        program=program,
-        buffers={"weights": weights.reshape(-1), "inputs": x, "outputs": y},
-        steps=[LaunchStep(global_size=neurons, scalars={"nin": inputs})],
-        check=check,
-        category="divergent",
-        description="neural layer with leaky-ReLU sign divergence",
-    )
+    return bp()
 
 
 def hmm_viterbi(sequences: int = 256, timesteps: int = 12,
                 simd_width: int = 16, seed: int = 82) -> Workload:
     """HMM: 4-state Viterbi per lane with branchy running-max updates."""
     num_states = 4
-    b = KernelBuilder("hmm", simd_width)
-    gid = b.global_id()
-    s_obs = b.surface_arg("obs")  # per (sequence, t): observation in {0,1}
-    s_trans = b.surface_arg("trans")  # log transition, 4x4
-    s_emit = b.surface_arg("emit")  # log emission, 4x2
-    s_out = b.surface_arg("loglik")
-    steps_n = b.scalar_arg("T", DType.I32)
-
-    v = [b.vreg(DType.F32) for _ in range(num_states)]
-    for reg in v:
-        b.mov(reg, np.log(1.0 / num_states))
-    t = b.vreg(DType.I32)
-    b.mov(t, 0)
-    obs = b.vreg(DType.I32)
-    addr = b.vreg(DType.I32)
-    trans_v = b.vreg(DType.F32)
-    emit_v = b.vreg(DType.F32)
-    cand = b.vreg(DType.F32)
-    best = b.vreg(DType.F32)
-    new_v = [b.vreg(DType.F32) for _ in range(num_states)]
-
-    b.do_()
-    # obs[t] for this lane's sequence
-    b.mul(addr, gid, steps_n)
-    b.add(addr, addr, t)
-    b.shl(addr, addr, 2)
-    b.load(obs, addr, s_obs)
-    for s_to in range(num_states):
-        b.mov(best, -1e30)
-        for s_from in range(num_states):
-            taddr = b.vreg(DType.I32)
-            b.mov(taddr, (s_from * num_states + s_to) * 4)
-            b.load(trans_v, taddr, s_trans)
-            b.add(cand, v[s_from], trans_v)
-            higher = b.cmp(CmpOp.GT, cand, best)
-            with b.if_(higher):
-                b.mov(best, cand)
-        eaddr = b.vreg(DType.I32)
-        b.mov(eaddr, s_to * 2)
-        b.add(eaddr, eaddr, obs)
-        b.shl(eaddr, eaddr, 2)
-        b.load(emit_v, eaddr, s_emit)
-        b.add(new_v[s_to], best, emit_v)
-    for s_to in range(num_states):
-        b.mov(v[s_to], new_v[s_to])
-    b.add(t, t, 1)
-    more = b.cmp(CmpOp.LT, t, steps_n)
-    b.while_(more)
-
-    # loglik = max over final states (branchy again).
-    b.mov(best, -1e30)
-    for s_idx in range(num_states):
-        higher = b.cmp(CmpOp.GT, v[s_idx], best)
-        with b.if_(higher):
-            b.mov(best, v[s_idx])
-    out_addr = b.vreg(DType.I32)
-    b.shl(out_addr, gid, 2)
-    b.store(best, out_addr, s_out)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
-    trans = np.log(rng.dirichlet(np.ones(num_states), num_states)
-                   ).astype(np.float32)
-    emit = np.log(rng.dirichlet(np.ones(2), num_states)).astype(np.float32)
-    obs = rng.integers(0, 2, (sequences, timesteps)).astype(np.int32)
-    loglik = np.zeros(sequences, dtype=np.float32)
+    trans_data = np.log(rng.dirichlet(np.ones(num_states), num_states)
+                        ).astype(np.float32).reshape(-1)
+    emit_data = np.log(rng.dirichlet(np.ones(2), num_states)
+                       ).astype(np.float32).reshape(-1)
+    obs_data = rng.integers(0, 2, sequences * timesteps).astype(np.int32)
 
-    def check(buffers):
-        expected = np.zeros(sequences, dtype=np.float32)
-        for seq in range(sequences):
-            v = np.full(num_states, np.float32(np.log(1.0 / num_states)),
-                        dtype=np.float32)
-            for t in range(timesteps):
-                scores = v[:, None] + trans  # [from, to]
-                v = (scores.max(axis=0)
-                     + emit[:, obs[seq, t]]).astype(np.float32)
-            expected[seq] = v.max()
-        np.testing.assert_allclose(buffers["loglik"], expected, rtol=1e-4,
-                                   atol=1e-4)
+    @dsl.kernel(n=sequences, simd_width=simd_width, seed=seed, name="hmm",
+                category="divergent",
+                description="4-state Viterbi with branchy max reductions")
+    def hmm(k,
+            # per (sequence, t): observation in {0,1}
+            obs=dsl.In("i32", size=sequences * timesteps,
+                       init=given(obs_data)),
+            trans=dsl.In(size=num_states ** 2, init=given(trans_data)),
+            emit=dsl.In(size=num_states * 2, init=given(emit_data)),
+            loglik=dsl.Out(), T=dsl.Scalar("i32", default=timesteps)):
+        v = [k.var(float(np.log(1.0 / num_states)), "f32")
+             for _ in range(num_states)]
+        t = k.var(0, "i32")
+        with k.while_(t < T):
+            at = k.var(k.gid * T)
+            at.set(at + t)
+            o = k.var(obs[at])
+            new_v = []
+            best = k.var(-1e30, "f32")
+            for s_to in range(num_states):
+                if s_to:
+                    best.set(-1e30)
+                for s_from in range(num_states):
+                    # log transition s_from -> s_to at a constant address
+                    cand = k.var(v[s_from] + trans.bytes[
+                        (s_from * num_states + s_to) * 4])
+                    with k.if_(cand > best):
+                        best.set(cand)
+                e = k.var(s_to * 2, "i32")
+                e.set(e + o)
+                new_v.append(k.var(best + emit[e]))
+            for s_to in range(num_states):
+                v[s_to].set(new_v[s_to])
+            t.set(t + 1)
+        # loglik = max over final states (branchy again).
+        best.set(-1e30)
+        for s_idx in range(num_states):
+            with k.if_(v[s_idx] > best):
+                best.set(v[s_idx])
+        loglik[k.gid] = best
 
-    return Workload(
-        name="hmm",
-        program=program,
-        buffers={"obs": obs.reshape(-1), "trans": trans.reshape(-1),
-                 "emit": emit.reshape(-1), "loglik": loglik},
-        steps=[LaunchStep(global_size=sequences, scalars={"T": timesteps})],
-        check=check,
-        category="divergent",
-        description="4-state Viterbi with branchy max reductions",
-    )
+    return hmm()
 
 
 def srad(dim: int = 32, simd_width: int = 16, seed: int = 83) -> Workload:
     """SRD: one SRAD diffusion-coefficient step with clamp branches."""
-    b = KernelBuilder("srad", simd_width)
-    gid = b.global_id()
-    s_img = b.surface_arg("img")
-    s_c = b.surface_arg("coeff")
-    n = b.scalar_arg("dim", DType.I32)
-    q0 = b.scalar_arg("q0", DType.F32)
-
-    row = b.vreg(DType.I32)
-    col = b.vreg(DType.I32)
-    tmp = b.vreg(DType.I32)
-    b.div(row, gid, n)
-    b.mul(tmp, row, n)
-    b.sub(col, gid, tmp)
-    last = b.vreg(DType.I32)
-    b.sub(last, n, 1)
-
-    addr = b.vreg(DType.I32)
-    b.shl(addr, gid, 2)
-    center = b.vreg(DType.F32)
-    b.load(center, addr, s_img)
-
-    # Clamped neighbour fetch: min/max keep edge lanes in bounds (the
-    # Rodinia kernel uses the same replicate-boundary convention).
-    grad2 = b.vreg(DType.F32)
-    b.mov(grad2, 0.0)
-    lap = b.vreg(DType.F32)
-    b.mov(lap, 0.0)
-    nb = b.vreg(DType.F32)
-    nrow = b.vreg(DType.I32)
-    ncol = b.vreg(DType.I32)
-    naddr = b.vreg(DType.I32)
-    diff = b.vreg(DType.F32)
-    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        b.add(nrow, row, dr)
-        b.max_(nrow, nrow, 0)
-        b.min_(nrow, nrow, last)
-        b.add(ncol, col, dc)
-        b.max_(ncol, ncol, 0)
-        b.min_(ncol, ncol, last)
-        b.mul(naddr, nrow, n)
-        b.add(naddr, naddr, ncol)
-        b.shl(naddr, naddr, 2)
-        b.load(nb, naddr, s_img)
-        b.sub(diff, nb, center)
-        b.add(lap, lap, diff)
-        b.mad(grad2, diff, diff, grad2)
-
-    # q = grad2 / (center^2 + eps); branch: smooth regions diffuse fully,
-    # edges (q > q0) shut diffusion off, in between a rational falloff.
-    c2 = b.vreg(DType.F32)
-    b.mul(c2, center, center)
-    b.add(c2, c2, 1e-4)
-    q = b.vreg(DType.F32)
-    b.div(q, grad2, c2)
-    coeff = b.vreg(DType.F32)
-    f_edge = b.cmp(CmpOp.GT, q, q0)
-    with b.if_(f_edge):
-        b.mov(coeff, 0.0)
-        b.else_()
-        denom = b.vreg(DType.F32)
-        b.div(denom, q, q0)
-        b.add(denom, denom, 1.0)
-        b.div(coeff, 1.0, denom)
-    out_addr = b.vreg(DType.I32)
-    b.shl(out_addr, gid, 2)
-    b.store(coeff, out_addr, s_c)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
-    img = (rng.uniform(0.5, 1.0, (dim, dim))
-           + 2.0 * (rng.random((dim, dim)) < 0.15)).astype(np.float32)
-    coeff = np.zeros(dim * dim, dtype=np.float32)
-    q0_value = 0.5
+    img_data = (rng.uniform(0.5, 1.0, (dim, dim))
+                + 2.0 * (rng.random((dim, dim)) < 0.15)
+                ).astype(np.float32).reshape(-1)
 
-    def check(buffers):
-        f32 = np.float32
-        padded = np.pad(img, 1, mode="edge")
-        lap = np.zeros((dim, dim), dtype=np.float32)
-        grad2 = np.zeros((dim, dim), dtype=np.float32)
-        for (r0, r1, c0, c1) in ((0, -2, 1, -1), (2, None, 1, -1),
-                                 (1, -1, 0, -2), (1, -1, 2, None)):
-            nb = padded[r0:r1, c0:c1]
-            diff = (nb - img).astype(np.float32)
-            lap += diff
-            grad2 += diff * diff
-        q = grad2 / (img * img + f32(1e-4))
-        smooth = f32(1.0) / (q / f32(q0_value) + f32(1.0))
-        expected = np.where(q > q0_value, f32(0.0), smooth).astype(np.float32)
-        np.testing.assert_allclose(
-            buffers["coeff"].reshape(dim, dim), expected, rtol=1e-3,
-            atol=1e-5)
+    @dsl.kernel(n=dim * dim, simd_width=simd_width, seed=seed, name="srad",
+                category="divergent",
+                description="SRAD diffusion coefficient with edge-clamp "
+                            "branches")
+    def srad(k, img=dsl.In(init=given(img_data)), coeff=dsl.Out(),
+             dim=dsl.Scalar("i32", default=dim),
+             q0=dsl.Scalar("f32", default=0.5)):
+        row, col = grid_coords(k, dim)
+        last = k.var(dim - 1)
+        center = k.var(img[k.gid])
+        # Clamped neighbour fetch: min/max keep edge lanes in bounds (the
+        # Rodinia kernel uses the same replicate-boundary convention).
+        grad2 = k.var(0.0, "f32")
+        lap = k.var(0.0, "f32")
+        nrow = ncol = None
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            nrow = assign(k, nrow, row + dr)
+            nrow.set(dsl.maximum(nrow, 0))
+            nrow.set(dsl.minimum(nrow, last))
+            ncol = assign(k, ncol, col + dc)
+            ncol.set(dsl.maximum(ncol, 0))
+            ncol.set(dsl.minimum(ncol, last))
+            na = k.var(nrow * dim)  # two statements, not one MAD
+            na.set(na + ncol)
+            diff = k.var(img[na] - center)
+            lap.set(lap + diff)
+            grad2.set(diff * diff + grad2)
+        # q = grad2 / (center^2 + eps); branch: smooth regions diffuse
+        # fully, edges (q > q0) shut diffusion off, in between a
+        # rational falloff.
+        c2 = k.var(center * center)
+        c2.set(c2 + 1e-4)
+        q = k.var(grad2 / c2)
+        with k.if_(q > q0):
+            c = k.var(0.0, "f32")
+            k.else_()
+            denom = k.var(q / q0)
+            denom.set(denom + 1.0)
+            c.set(1.0 / denom)
+        # The gid address is recomputed here, not reused from the load.
+        coeff.bytes[k.gid << 2] = c
 
-    return Workload(
-        name="srad",
-        program=program,
-        buffers={"img": img.reshape(-1), "coeff": coeff},
-        steps=[LaunchStep(global_size=dim * dim,
-                          scalars={"dim": dim, "q0": q0_value})],
-        check=check,
-        category="divergent",
-        description="SRAD diffusion coefficient with edge-clamp branches",
-    )
+    return srad()

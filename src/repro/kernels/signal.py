@@ -5,6 +5,11 @@ kernels; simple convolution is coherent except at its clamped edges;
 bitonic sort's compare-and-swap network predicates half the lanes each
 pass in alternating stride patterns (a showcase for SCC); the AES round
 gathers S-box entries per lane — coherent control but memory divergent.
+
+DCT8, FWHT, SCnv and AES are defined once in :mod:`repro.dsl`, whose
+traced reference checks them bit-exactly; DCT8 and FWHT address their
+8-float blocks by byte offset (``buf.bytes[base + 4 * i]``).  The
+multi-launch DWTH and Bsort stay hand-assembled with a KernelBuilder.
 """
 
 from __future__ import annotations
@@ -18,102 +23,59 @@ from .. import dsl
 from ..isa.builder import KernelBuilder
 from ..isa.registers import FlagRef
 from ..isa.types import CmpOp, DType
-from .workload import LaunchStep, Workload, given
+from .workload import LaunchStep, Workload, assign, given
 
 
 def dct8(blocks: int = 192, simd_width: int = 16, seed: int = 70) -> Workload:
     """DCT8: 8-point DCT-II per work-item, fully unrolled (coherent)."""
-    b = KernelBuilder("dct8", simd_width)
-    gid = b.global_id()
-    s_in, s_out = b.surface_arg("inp"), b.surface_arg("out")
-    base = b.vreg(DType.I32)
-    b.shl(base, gid, 5)  # block byte offset: 8 floats = 32 bytes
-    addr = b.vreg(DType.I32)
-    xs = [b.vreg(DType.F32) for _ in range(8)]
-    for i, x in enumerate(xs):
-        b.add(addr, base, i * 4)
-        b.load(x, addr, s_in)
-    out = b.vreg(DType.F32)
-    for k in range(8):
-        scale = math.sqrt(1.0 / 8) if k == 0 else math.sqrt(2.0 / 8)
-        b.mov(out, 0.0)
-        for n_idx, x in enumerate(xs):
-            coeff = scale * math.cos(math.pi / 8 * (n_idx + 0.5) * k)
-            b.mad(out, x, coeff, out)
-        b.add(addr, base, k * 4)
-        b.store(out, addr, s_out)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
-    inp = rng.uniform(-1, 1, (blocks, 8)).astype(np.float32)
-    out = np.zeros((blocks, 8), dtype=np.float32)
+    inp_data = rng.uniform(-1, 1, blocks * 8).astype(np.float32)
 
-    def check(buffers):
-        n_idx = np.arange(8)
-        basis = np.cos(np.pi / 8 * (n_idx[None, :] + 0.5) * n_idx[:, None])
-        basis *= np.where(n_idx[:, None] == 0, math.sqrt(1 / 8), math.sqrt(2 / 8))
-        expected = inp @ basis.T
-        np.testing.assert_allclose(
-            buffers["out"].reshape(blocks, 8), expected, rtol=1e-3, atol=1e-4)
+    @dsl.kernel(n=blocks, simd_width=simd_width, seed=seed, name="dct8",
+                category="coherent",
+                description="8-point DCT-II per work-item")
+    def dct8(k, inp=dsl.In(size=blocks * 8, init=given(inp_data)),
+             out=dsl.Out(size=blocks * 8)):
+        base = k.var(k.gid << 5)  # block byte offset: 8 floats = 32 bytes
+        xs = [k.var(inp.bytes[base + i * 4]) for i in range(8)]
+        acc = k.var(0.0, "f32")
+        for freq in range(8):
+            scale = math.sqrt(1.0 / 8) if freq == 0 else math.sqrt(2.0 / 8)
+            if freq:
+                acc.set(0.0)
+            for n_idx, x in enumerate(xs):
+                coeff = scale * math.cos(math.pi / 8 * (n_idx + 0.5) * freq)
+                acc.set(x * coeff + acc)
+            out.bytes[base + freq * 4] = acc
 
-    return Workload(
-        name="dct8",
-        program=program,
-        buffers={"inp": inp.reshape(-1), "out": out.reshape(-1)},
-        steps=[LaunchStep(global_size=blocks)],
-        check=check,
-        category="coherent",
-        description="8-point DCT-II per work-item",
-    )
+    return dct8()
 
 
 def fwht(groups: int = 256, simd_width: int = 16, seed: int = 71) -> Workload:
     """FWHT: 8-point fast Walsh-Hadamard transform per work-item."""
-    b = KernelBuilder("fwht", simd_width)
-    gid = b.global_id()
-    s_in, s_out = b.surface_arg("inp"), b.surface_arg("out")
-    base = b.vreg(DType.I32)
-    b.shl(base, gid, 5)
-    addr = b.vreg(DType.I32)
-    xs = [b.vreg(DType.F32) for _ in range(8)]
-    for i, x in enumerate(xs):
-        b.add(addr, base, i * 4)
-        b.load(x, addr, s_in)
-    tmp = b.vreg(DType.F32)
-    for stage in (1, 2, 4):
-        for i in range(8):
-            if i & stage:
-                continue
-            j = i | stage
-            b.add(tmp, xs[i], xs[j])
-            b.sub(xs[j], xs[i], xs[j])
-            b.mov(xs[i], tmp)
-    for i, x in enumerate(xs):
-        b.add(addr, base, i * 4)
-        b.store(x, addr, s_out)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
-    inp = rng.uniform(-1, 1, (groups, 8)).astype(np.float32)
-    out = np.zeros((groups, 8), dtype=np.float32)
+    inp_data = rng.uniform(-1, 1, groups * 8).astype(np.float32)
 
-    def check(buffers):
-        h = np.array([[1]])
-        for _ in range(3):
-            h = np.block([[h, h], [h, -h]])
-        expected = inp @ h.T
-        np.testing.assert_allclose(
-            buffers["out"].reshape(groups, 8), expected, rtol=1e-4, atol=1e-4)
+    @dsl.kernel(n=groups, simd_width=simd_width, seed=seed, name="fwht",
+                category="coherent",
+                description="8-point fast Walsh-Hadamard transform")
+    def fwht(k, inp=dsl.In(size=groups * 8, init=given(inp_data)),
+             out=dsl.Out(size=groups * 8)):
+        base = k.var(k.gid << 5)
+        xs = [k.var(inp.bytes[base + i * 4]) for i in range(8)]
+        tmp = None
+        for stage in (1, 2, 4):
+            for i in range(8):
+                if i & stage:
+                    continue
+                j = i | stage
+                tmp = assign(k, tmp, xs[i] + xs[j])
+                xs[j].set(xs[i] - xs[j])
+                xs[i].set(tmp)
+        for i, x in enumerate(xs):
+            out.bytes[base + i * 4] = x
 
-    return Workload(
-        name="fwht",
-        program=program,
-        buffers={"inp": inp.reshape(-1), "out": out.reshape(-1)},
-        steps=[LaunchStep(global_size=groups)],
-        check=check,
-        category="coherent",
-        description="8-point fast Walsh-Hadamard transform",
-    )
+    return fwht()
 
 
 def haar_dwt(n: int = 1024, levels: int = 3, simd_width: int = 16,
@@ -194,50 +156,25 @@ def haar_dwt(n: int = 1024, levels: int = 3, simd_width: int = 16,
 def convolution(n: int = 1024, simd_width: int = 16, seed: int = 73) -> Workload:
     """SCnv: 5-tap 1-D convolution with clamped edges."""
     taps = (0.0625, 0.25, 0.375, 0.25, 0.0625)
-    b = KernelBuilder("scnv", simd_width)
-    gid = b.global_id()
-    s_in, s_out = b.surface_arg("inp"), b.surface_arg("out")
-    length = b.scalar_arg("n", DType.I32)
-    last = b.vreg(DType.I32)
-    b.sub(last, length, 1)
-    acc = b.vreg(DType.F32)
-    b.mov(acc, 0.0)
-    pos = b.vreg(DType.I32)
-    addr = b.vreg(DType.I32)
-    val = b.vreg(DType.F32)
-    for offset, weight in zip((-2, -1, 0, 1, 2), taps):
-        b.add(pos, gid, offset)
-        b.max_(pos, pos, 0)
-        b.min_(pos, pos, last)
-        b.shl(addr, pos, 2)
-        b.load(val, addr, s_in)
-        b.mad(acc, val, weight, acc)
-    out_addr = b.vreg(DType.I32)
-    b.shl(out_addr, gid, 2)
-    b.store(acc, out_addr, s_out)
-    program = b.finish()
-
     rng = np.random.default_rng(seed)
-    inp = rng.uniform(-1, 1, n).astype(np.float32)
-    out = np.zeros(n, dtype=np.float32)
+    inp_data = rng.uniform(-1, 1, n).astype(np.float32)
 
-    def check(buffers):
-        idx = np.arange(n)
-        expected = np.zeros(n, dtype=np.float64)
+    @dsl.kernel(n=n, simd_width=simd_width, seed=seed, name="scnv",
+                category="coherent",
+                description="5-tap clamped 1-D convolution")
+    def scnv(k, inp=dsl.In(init=given(inp_data)), out=dsl.Out(),
+             n=dsl.Scalar("i32", default=n)):
+        last = k.var(n - 1)
+        acc = k.var(0.0, "f32")
+        pos = None
         for offset, weight in zip((-2, -1, 0, 1, 2), taps):
-            expected += weight * inp[np.clip(idx + offset, 0, n - 1)]
-        np.testing.assert_allclose(buffers["out"], expected, rtol=1e-4,
-                                   atol=1e-5)
+            pos = assign(k, pos, k.gid + offset)
+            pos.set(dsl.maximum(pos, 0))
+            pos.set(dsl.minimum(pos, last))
+            acc.set(inp[pos] * weight + acc)
+        out[k.gid] = acc
 
-    return Workload(
-        name="scnv",
-        program=program,
-        buffers={"inp": inp, "out": out},
-        steps=[LaunchStep(global_size=n, scalars={"n": n})],
-        check=check,
-        category="coherent",
-        description="5-tap clamped 1-D convolution",
-    )
+    return scnv()
 
 
 def bitonic_sort(n: int = 256, simd_width: int = 16, seed: int = 74) -> Workload:

@@ -233,6 +233,16 @@ def given(data: np.ndarray) -> BufferInit:
     return lambda _rng, _size: data
 
 
+def assign(k, var, value):
+    """*var* set to *value*, or a new DSL variable holding it when *var*
+    is None: an unrolled loop's per-iteration value then keeps one
+    register and costs one instruction per iteration."""
+    if var is None:
+        return k.var(value)
+    var.set(value)
+    return var
+
+
 def grid_coords(k, dim):
     """DSL variables (row, col) of work-item gid in a row-major grid
     *dim* wide."""

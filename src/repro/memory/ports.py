@@ -28,10 +28,6 @@ class BandwidthPort:
         self._cycles_per_line = 1.0 / lines_per_cycle
         self.lines_transferred = 0
 
-    @property
-    def cycles_per_line(self) -> float:
-        return self._cycles_per_line
-
     def grant(self, now: float) -> float:
         """Reserve the next transfer slot at or after *now*.
 
@@ -43,10 +39,6 @@ class BandwidthPort:
         self._next_free = start + self._cycles_per_line
         self.lines_transferred += 1
         return start
-
-    def next_free(self) -> float:
-        """Earliest cycle a new transfer could start (no reservation)."""
-        return self._next_free
 
     def throughput(self, total_cycles: int) -> float:
         """Achieved lines per cycle over a run of *total_cycles* cycles."""

@@ -26,6 +26,7 @@ from repro.errors import BuildError, exit_code_for
 from repro.gpu.config import GpuConfig
 from repro.isa.asm import assemble, program_to_text
 from repro.isa.opcodes import Opcode
+from repro.isa.types import DType
 from repro.kernels import (
     DIVERGENT_WORKLOADS,
     DSL_WORKLOADS,
@@ -125,6 +126,36 @@ class TestLowering:
             out[k.gid] = a[(k.gid + 1) & 63]
 
         run_workload(loop_cond_addr())  # bit-exact against the reference
+
+    def test_empty_else_arm_is_emitted(self):
+        @dsl.kernel(n=64, name="empty_else")
+        def empty_else(k, x=dsl.In("f32"), y=dsl.Out("f32")):
+            v = k.var(x[k.gid])
+            with k.if_(v < 0.5):
+                v.set(v * 2.0)
+                k.else_()
+            y[k.gid] = v
+
+        control = [i.opcode for i in empty_else.program().instructions
+                   if i.opcode in (Opcode.IF, Opcode.ELSE, Opcode.ENDIF)]
+        assert control == [Opcode.IF, Opcode.ELSE, Opcode.ENDIF]
+        run_workload(empty_else())  # bit-exact against the reference
+
+    def test_byte_offsets_are_evaluated_where_they_stand(self):
+        @dsl.kernel(n=64, name="byte_pairs")
+        def byte_pairs(k, x=dsl.In("f32", size=128),
+                       y=dsl.Out("f32", size=128)):
+            base = k.var(k.gid << 3)  # two floats per work-item
+            y.bytes[base] = x.bytes[base + 4]
+            y.bytes[base + 4] = x.bytes[base + 4] + x.bytes[base]
+
+        insts = byte_pairs.program().instructions
+        # base's own SHL and nothing scaled; each of the three base + 4
+        # accesses adds its offset anew.
+        assert [i.opcode for i in insts].count(Opcode.SHL) == 1
+        assert sum(i.opcode is Opcode.ADD and i.dtype is DType.I32
+                   for i in insts) == 3
+        run_workload(byte_pairs())  # bit-exact against the reference
 
     def test_snapshot_programs_lower_unchanged(self):
         """The example and seeded stress programs lower to the recorded text.
@@ -238,6 +269,26 @@ class TestReferenceSemantics:
                 y[i] = x[(i * 3 + 1) & 63] + y[i]
 
         run_workload(gather())
+
+
+    @pytest.mark.parametrize("offset, error, text", [
+        (2, ValueError, "misaligned f32 access at byte offset 2"),
+        (4, IndexError,
+         "lane 15 reads byte offset 256, beyond surface of 256 bytes"),
+    ], ids=["unaligned", "out-of-range"])
+    def test_bad_byte_offset_raises_the_simulator_error(self, offset, error,
+                                                        text):
+        @dsl.kernel(n=64, name="_bad_bytes")
+        def bad_bytes(k, x=dsl.In("f32"), y=dsl.Out("f32")):
+            y[k.gid] = x.bytes[(k.gid << 2) + offset]
+
+        workload = bad_bytes()
+        with pytest.raises(error) as info:
+            workload.check(workload.buffers)
+        assert str(info.value) == text
+        with pytest.raises(error) as info:
+            run_workload(bad_bytes(), GpuConfig(engine="interp"))
+        assert str(info.value) == text
 
 
 class TestBuildErrors:
@@ -373,6 +424,11 @@ class TestRegistryIntegration:
         for name in DSL_WORKLOADS:
             assert name in WORKLOAD_REGISTRY
             assert WORKLOAD_REGISTRY[name]().name == name
+
+    @pytest.mark.parametrize("name",
+                             ["scnv", "dct8", "fwht", "bp", "hmm", "srad"])
+    def test_table1_kernels_are_defined_in_the_dsl(self, name):
+        assert WORKLOAD_REGISTRY[name]().frontend == "dsl"
 
     def test_dsl_kernels_stay_out_of_paper_groups(self):
         assert not set(DSL_WORKLOADS) & set(DIVERGENT_WORKLOADS)

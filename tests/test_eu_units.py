@@ -20,6 +20,8 @@ from repro.isa.registers import FlagRef, RegRef
 from repro.isa.types import DType
 from repro.memory.hierarchy import MemoryHierarchy, MemoryParams
 
+from grf_access import read, write
+
 masks16 = st.integers(min_value=0, max_value=0xFFFF)
 
 
@@ -27,86 +29,86 @@ class TestRegisterFile:
     def test_read_after_write(self):
         grf = RegisterFile()
         ref = RegRef(4, DType.F32)
-        grf.write(ref, 16, np.arange(16, dtype=np.float32), 0xFFFF)
-        np.testing.assert_array_equal(grf.read(ref, 16), np.arange(16))
+        write(grf.storage, ref, 16, np.arange(16, dtype=np.float32), 0xFFFF)
+        np.testing.assert_array_equal(read(grf.storage, ref, 16), np.arange(16))
 
     def test_masked_write_preserves_disabled_lanes(self):
         grf = RegisterFile()
         ref = RegRef(0, DType.F32)
-        grf.write(ref, 16, np.full(16, 1.0, np.float32), 0xFFFF)
-        grf.write(ref, 16, np.full(16, 2.0, np.float32), 0x00FF)
-        values = grf.read(ref, 16)
+        write(grf.storage, ref, 16, np.full(16, 1.0, np.float32), 0xFFFF)
+        write(grf.storage, ref, 16, np.full(16, 2.0, np.float32), 0x00FF)
+        values = read(grf.storage, ref, 16)
         np.testing.assert_array_equal(values[:8], 2.0)
         np.testing.assert_array_equal(values[8:], 1.0)
 
     def test_int_float_aliasing(self):
         grf = RegisterFile()
-        grf.write(RegRef(2, DType.I32), 8, np.zeros(8, np.int32), 0xFF)
-        grf.write(RegRef(2, DType.F32), 8, np.full(8, 1.0, np.float32), 0xFF)
-        ints = grf.read(RegRef(2, DType.I32), 8)
+        write(grf.storage, RegRef(2, DType.I32), 8, np.zeros(8, np.int32), 0xFF)
+        write(grf.storage, RegRef(2, DType.F32), 8, np.full(8, 1.0, np.float32), 0xFF)
+        ints = read(grf.storage, RegRef(2, DType.I32), 8)
         assert ints[0] == np.float32(1.0).view(np.int32)
 
     def test_simd16_spans_two_registers(self):
         grf = RegisterFile()
-        grf.write(RegRef(10, DType.F32), 16, np.arange(16, dtype=np.float32), 0xFFFF)
-        upper = grf.read(RegRef(11, DType.F32), 8)
+        write(grf.storage, RegRef(10, DType.F32), 16, np.arange(16, dtype=np.float32), 0xFFFF)
+        upper = read(grf.storage, RegRef(11, DType.F32), 8)
         np.testing.assert_array_equal(upper, np.arange(8, 16))
 
     def test_f64_lanes(self):
         grf = RegisterFile()
         ref = RegRef(0, DType.F64)
-        grf.write(ref, 8, np.arange(8, dtype=np.float64), 0xFF)
-        np.testing.assert_array_equal(grf.read(ref, 8), np.arange(8))
+        write(grf.storage, ref, 8, np.arange(8, dtype=np.float64), 0xFF)
+        np.testing.assert_array_equal(read(grf.storage, ref, 8), np.arange(8))
 
     def test_read_returns_copy(self):
         grf = RegisterFile()
         ref = RegRef(0, DType.F32)
-        values = grf.read(ref, 8)
+        values = read(grf.storage, ref, 8)
         values[:] = 99.0
-        np.testing.assert_array_equal(grf.read(ref, 8), 0.0)
+        np.testing.assert_array_equal(read(grf.storage, ref, 8), 0.0)
 
     def test_overflow_guard(self):
         grf = RegisterFile()
         with pytest.raises(ValueError):
-            grf.read(RegRef(127, DType.F32), 16)
+            read(grf.storage, RegRef(127, DType.F32), 16)
 
     def test_broadcast(self):
         grf = RegisterFile()
         ref = RegRef(5, DType.I32)
-        grf.broadcast(ref, 16, 7)
-        np.testing.assert_array_equal(grf.read(ref, 16), 7)
+        write(grf.storage, ref, 16, 7, 0xFFFF)
+        np.testing.assert_array_equal(read(grf.storage, ref, 16), 7)
 
     def test_scalar_value_under_partial_mask(self):
         grf = RegisterFile()
         ref = RegRef(3, DType.I32)
-        grf.write(ref, 16, np.arange(16, dtype=np.int32), 0xFFFF)
-        grf.write(ref, 16, -5, 0x8421)
+        write(grf.storage, ref, 16, np.arange(16, dtype=np.int32), 0xFFFF)
+        write(grf.storage, ref, 16, -5, 0x8421)
         expected = np.arange(16, dtype=np.int32)
         expected[[0, 5, 10, 15]] = -5
-        np.testing.assert_array_equal(grf.read(ref, 16), expected)
+        np.testing.assert_array_equal(read(grf.storage, ref, 16), expected)
 
     def test_64bit_operand_under_partial_mask(self):
         grf = RegisterFile()
         ref = RegRef(6, DType.I64)
         big = np.int64(1) << 40
-        grf.write(ref, 8, np.full(8, -1, np.int64), 0xFF)
-        grf.write(ref, 8, big + np.arange(8, dtype=np.int64), 0b10100101)
+        write(grf.storage, ref, 8, np.full(8, -1, np.int64), 0xFF)
+        write(grf.storage, ref, 8, big + np.arange(8, dtype=np.int64), 0b10100101)
         expected = np.full(8, -1, np.int64)
         for lane in (0, 2, 5, 7):
             expected[lane] = big + lane
-        np.testing.assert_array_equal(grf.read(ref, 8), expected)
+        np.testing.assert_array_equal(read(grf.storage, ref, 8), expected)
         # Both 32-bit halves of a disabled lane stay untouched.
-        assert grf.raw()[6 * 8 + 2] == 0xFFFFFFFF
-        assert grf.raw()[6 * 8 + 3] == 0xFFFFFFFF
+        assert grf.storage[6 * 8 + 2] == 0xFFFFFFFF
+        assert grf.storage[6 * 8 + 3] == 0xFFFFFFFF
 
     def test_zero_mask_writes_nothing(self):
         grf = RegisterFile()
         ref = RegRef(9, DType.F32)
-        grf.write(ref, 16, np.full(16, 3.0, np.float32), 0xFFFF)
-        before = grf.raw().copy()
-        grf.write(ref, 16, np.full(16, 8.0, np.float32), 0)
-        grf.write(ref, 16, 8.0, 0)
-        np.testing.assert_array_equal(grf.raw(), before)
+        write(grf.storage, ref, 16, np.full(16, 3.0, np.float32), 0xFFFF)
+        before = grf.storage.copy()
+        write(grf.storage, ref, 16, np.full(16, 8.0, np.float32), 0)
+        write(grf.storage, ref, 16, 8.0, 0)
+        np.testing.assert_array_equal(grf.storage, before)
 
 
 class TestMaskStackIf:

@@ -10,6 +10,8 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import FlagRef, Imm, RegRef
 from repro.isa.types import CmpOp, DType
 
+from grf_access import read, write
+
 FULL16 = 0xFFFF
 
 
@@ -28,8 +30,8 @@ def _exec(opcode, dst, sources, grf, flags=None, mask=FULL16, dtype=DType.F32,
 @pytest.fixture
 def grf():
     grf = RegisterFile()
-    grf.write(RegRef(0, DType.F32), 16, np.arange(16, dtype=np.float32), FULL16)
-    grf.write(RegRef(2, DType.F32), 16, np.full(16, 2.0, np.float32), FULL16)
+    write(grf.storage, RegRef(0, DType.F32), 16, np.arange(16, dtype=np.float32), FULL16)
+    write(grf.storage, RegRef(2, DType.F32), 16, np.full(16, 2.0, np.float32), FULL16)
     return grf
 
 
@@ -39,21 +41,21 @@ class TestSourceOperands:
     def test_register(self, grf):
         dst = RegRef(10, DType.F32)
         _exec(Opcode.MOV, dst, [RegRef(0, DType.F32)], grf)
-        np.testing.assert_array_equal(grf.read(dst, 16), np.arange(16))
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), np.arange(16))
 
     def test_immediate_broadcast(self, grf):
         dst = RegRef(10, DType.F32)
         _exec(Opcode.MOV, dst, [Imm(3.5, DType.F32)], grf)
-        np.testing.assert_array_equal(grf.read(dst, 16), 3.5)
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), 3.5)
 
     def test_dtype_conversion(self, grf):
         # An F32 register read by an I32 instruction is converted by value
         # before the op: int(i + 0.5) * 2, not int((i + 0.5) * 2).
         src = RegRef(4, DType.F32)
-        grf.write(src, 16, np.arange(16, dtype=np.float32) + 0.5, FULL16)
+        write(grf.storage, src, 16, np.arange(16, dtype=np.float32) + 0.5, FULL16)
         dst = RegRef(10, DType.I32)
         _exec(Opcode.MUL, dst, [src, Imm(2, DType.I32)], grf, dtype=DType.I32)
-        values = grf.read(dst, 16)
+        values = read(grf.storage, dst, 16)
         assert values.dtype == np.int32
         np.testing.assert_array_equal(values, np.arange(16) * 2)
 
@@ -62,44 +64,44 @@ class TestArithmetic:
     def test_add(self, grf):
         dst = RegRef(10, DType.F32)
         _exec(Opcode.ADD, dst, [RegRef(0), RegRef(2)], grf)
-        np.testing.assert_array_equal(grf.read(dst, 16), np.arange(16) + 2.0)
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), np.arange(16) + 2.0)
 
     def test_mad(self, grf):
         dst = RegRef(10, DType.F32)
         _exec(Opcode.MAD, dst, [RegRef(0), Imm(2.0), Imm(1.0)], grf)
-        np.testing.assert_array_equal(grf.read(dst, 16), np.arange(16) * 2.0 + 1.0)
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), np.arange(16) * 2.0 + 1.0)
 
     def test_masked_write(self, grf):
         dst = RegRef(10, DType.F32)
-        grf.write(dst, 16, np.full(16, -1.0, np.float32), FULL16)
+        write(grf.storage, dst, 16, np.full(16, -1.0, np.float32), FULL16)
         _exec(Opcode.MOV, dst, [Imm(5.0)], grf, mask=0x00FF)
-        values = grf.read(dst, 16)
+        values = read(grf.storage, dst, 16)
         np.testing.assert_array_equal(values[:8], 5.0)
         np.testing.assert_array_equal(values[8:], -1.0)
 
     def test_div_by_zero_float_is_inf(self, grf):
         dst = RegRef(10, DType.F32)
         _exec(Opcode.DIV, dst, [Imm(1.0), Imm(0.0)], grf)
-        assert np.isinf(grf.read(dst, 16)).all()
+        assert np.isinf(read(grf.storage, dst, 16)).all()
 
     def test_int_div_by_zero_is_zero(self, grf):
         dst = RegRef(10, DType.I32)
         _exec(Opcode.DIV, dst, [Imm(7, DType.I32), Imm(0, DType.I32)], grf,
               dtype=DType.I32)
-        np.testing.assert_array_equal(grf.read(dst, 16), 0)
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), 0)
 
     def test_int_div_truncates(self, grf):
         dst = RegRef(10, DType.I32)
         _exec(Opcode.DIV, dst, [Imm(7, DType.I32), Imm(2, DType.I32)], grf,
               dtype=DType.I32)
-        np.testing.assert_array_equal(grf.read(dst, 16), 3)
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), 3)
 
     def test_shift_clamped(self, grf):
         dst = RegRef(10, DType.I32)
         _exec(Opcode.SHL, dst, [Imm(1, DType.I32), Imm(40, DType.I32)], grf,
               dtype=DType.I32)
         # Shift amounts clamp to 31: result is 1 << 31 wrapped to int32 min.
-        assert grf.read(dst, 16)[0] == np.int32(-2**31)
+        assert read(grf.storage, dst, 16)[0] == np.int32(-2**31)
 
     def test_i64_shl_beyond_31_not_truncated(self, grf):
         # Regression: the clamp ceiling must follow the operand width.
@@ -108,51 +110,51 @@ class TestArithmetic:
         dst = RegRef(10, DType.I64)
         _exec(Opcode.SHL, dst, [Imm(1, DType.I64), Imm(40, DType.I64)], grf,
               dtype=DType.I64)
-        np.testing.assert_array_equal(grf.read(dst, 16), np.int64(1) << 40)
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), np.int64(1) << 40)
 
     def test_i64_shr_beyond_31_not_truncated(self, grf):
         dst = RegRef(10, DType.I64)
         _exec(Opcode.SHR, dst, [Imm(1 << 45, DType.I64), Imm(40, DType.I64)],
               grf, dtype=DType.I64)
-        np.testing.assert_array_equal(grf.read(dst, 16), 32)
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), 32)
 
     def test_i64_shift_clamps_at_63(self, grf):
         dst = RegRef(10, DType.I64)
         _exec(Opcode.SHR, dst, [Imm(-1, DType.I64), Imm(200, DType.I64)],
               grf, dtype=DType.I64)
         # Arithmetic shift of -1 by the clamped 63 stays -1.
-        np.testing.assert_array_equal(grf.read(dst, 16), -1)
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), -1)
 
     def test_min_max(self, grf):
         dst = RegRef(10, DType.F32)
         _exec(Opcode.MIN, dst, [RegRef(0), Imm(4.0)], grf)
-        assert grf.read(dst, 16).max() == 4.0
+        assert read(grf.storage, dst, 16).max() == 4.0
         _exec(Opcode.MAX, dst, [RegRef(0), Imm(4.0)], grf)
-        assert grf.read(dst, 16).min() == 4.0
+        assert read(grf.storage, dst, 16).min() == 4.0
 
     def test_em_functions(self, grf):
         dst = RegRef(10, DType.F32)
         _exec(Opcode.SQRT, dst, [Imm(9.0)], grf)
-        np.testing.assert_allclose(grf.read(dst, 16), 3.0)
+        np.testing.assert_allclose(read(grf.storage, dst, 16), 3.0)
         _exec(Opcode.EXP, dst, [Imm(0.0)], grf)
-        np.testing.assert_allclose(grf.read(dst, 16), 1.0)
+        np.testing.assert_allclose(read(grf.storage, dst, 16), 1.0)
         _exec(Opcode.RSQRT, dst, [Imm(4.0)], grf)
-        np.testing.assert_allclose(grf.read(dst, 16), 0.5)
+        np.testing.assert_allclose(read(grf.storage, dst, 16), 0.5)
 
     def test_bitwise(self, grf):
         dst = RegRef(10, DType.I32)
         _exec(Opcode.AND, dst, [Imm(0b1100, DType.I32), Imm(0b1010, DType.I32)],
               grf, dtype=DType.I32)
-        np.testing.assert_array_equal(grf.read(dst, 16), 0b1000)
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), 0b1000)
         _exec(Opcode.XOR, dst, [Imm(0b1100, DType.I32), Imm(0b1010, DType.I32)],
               grf, dtype=DType.I32)
-        np.testing.assert_array_equal(grf.read(dst, 16), 0b0110)
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), 0b0110)
 
     def test_cvt_f32_to_i32(self, grf):
         dst = RegRef(10, DType.I32)
         _exec(Opcode.CVT, dst, [RegRef(0, DType.F32)], grf, dtype=DType.I32,
               src_dtype=DType.F32)
-        np.testing.assert_array_equal(grf.read(dst, 16), np.arange(16))
+        np.testing.assert_array_equal(read(grf.storage, dst, 16), np.arange(16))
 
 
 class TestCmpAndSel:
@@ -171,7 +173,7 @@ class TestCmpAndSel:
     def test_sel_uses_selector_not_mask(self, grf):
         dst = RegRef(10, DType.F32)
         _exec(Opcode.SEL, dst, [Imm(1.0), Imm(2.0)], grf, selector=0x00FF)
-        values = grf.read(dst, 16)
+        values = read(grf.storage, dst, 16)
         np.testing.assert_array_equal(values[:8], 1.0)
         np.testing.assert_array_equal(values[8:], 2.0)
 

@@ -32,6 +32,8 @@ from repro.isa.registers import FlagRef, Imm, RegRef
 from repro.isa.types import CmpOp, DType
 from repro.memory.hierarchy import MemoryHierarchy, MemoryParams
 
+from grf_access import read, write
+
 FULL16 = 0xFFFF
 
 #: Result fields a memory hazard would move.
@@ -135,9 +137,9 @@ class TestAluOperands:
         for dst_reg, src_reg in ((11, 10), (10, 11)):
             grf = RegisterFile()
             init = np.arange(32, dtype=np.float32) + 100
-            grf.write(RegRef(10), 16, init[:16], FULL16)
-            grf.write(RegRef(12), 16, init[16:32], FULL16)
-            before = grf.raw().copy().view(np.float32)
+            write(grf.storage, RegRef(10), 16, init[:16], FULL16)
+            write(grf.storage, RegRef(12), 16, init[16:32], FULL16)
+            before = grf.storage.copy().view(np.float32)
             mask = 0b1011_0110_1100_1101
             execute_alu(_alu(Opcode.MOV, RegRef(dst_reg), [RegRef(src_reg)]),
                         mask, grf, [0, 0])
@@ -146,7 +148,7 @@ class TestAluOperands:
             dst = expected[dst_reg * 8:dst_reg * 8 + 16]
             src = before[src_reg * 8:src_reg * 8 + 16]
             dst[lanes] = src[lanes]
-            np.testing.assert_array_equal(grf.raw().view(np.float32),
+            np.testing.assert_array_equal(grf.storage.view(np.float32),
                                           expected)
 
     def test_immediate_is_shared_read_only_and_threads_independent(self):
@@ -154,12 +156,12 @@ class TestAluOperands:
         first, second = RegisterFile(), RegisterFile()
         execute_alu(inst, 0x00FF, first, [0, 0])
         execute_alu(inst, FULL16, second, [0, 0])
-        np.testing.assert_array_equal(first.read(RegRef(10), 16),
+        np.testing.assert_array_equal(read(first.storage, RegRef(10), 16),
                                       [7.0] * 8 + [0.0] * 8)
-        np.testing.assert_array_equal(second.read(RegRef(10), 16), 7.0)
+        np.testing.assert_array_equal(read(second.storage, RegRef(10), 16), 7.0)
         # Writing one thread's register leaves the other's alone.
-        second.write(RegRef(10), 16, np.zeros(16, np.float32), FULL16)
-        np.testing.assert_array_equal(first.read(RegRef(10), 16),
+        write(second.storage, RegRef(10), 16, np.zeros(16, np.float32), FULL16)
+        np.testing.assert_array_equal(read(first.storage, RegRef(10), 16),
                                       [7.0] * 8 + [0.0] * 8)
         (imm,) = alu_plan(inst)[1]
         assert not imm.flags.writeable
@@ -175,13 +177,11 @@ class TestAluOperands:
         assert copy == inst and "_alu_plan" not in copy.__dict__
         grf = RegisterFile()
         execute_alu(copy, FULL16, grf, [0, 0])
-        np.testing.assert_array_equal(grf.read(RegRef(10), 16), 1.0)
+        np.testing.assert_array_equal(read(grf.storage, RegRef(10), 16), 1.0)
 
 
-#: ``RegisterFile`` names the overflowing slots; program finalization
-#: (and the scan's dependency probe) the overflowing register.
-_SLOTS_TEXT = ("operand r127:f32 at SIMD16 overflows the GRF "
-               "(slots 1016..1031)")
+#: The one GRF-overflow text: operand plans, program finalization and
+#: the scan's dependency probe all check through ``RegRef.regs``.
 _REGS_TEXT = "operand r127:f32 at SIMD16 overflows the GRF (spans to r128)"
 
 
@@ -193,19 +193,16 @@ class TestOperandErrors:
     def test_overflow_through_execute_alu(self, dst, src):
         inst = _alu(Opcode.ADD, dst, [src, Imm(1.0)])
         grf = RegisterFile()
-        before = grf.raw().copy()
+        before = grf.storage.copy()
         for _ in range(2):  # no half-built plan is left behind
             with pytest.raises(ValueError) as info:
                 execute_alu(inst, FULL16, grf, [0, 0])
-            assert str(info.value) == _SLOTS_TEXT
+            assert str(info.value) == _REGS_TEXT
         assert "_alu_plan" not in inst.__dict__
-        np.testing.assert_array_equal(grf.raw(), before)
+        np.testing.assert_array_equal(grf.storage, before)
 
-    @pytest.mark.parametrize("engine, text", [
-        ("interp", _REGS_TEXT),  # the scan's dependency probe meets it
-        ("fast", _SLOTS_TEXT),   # the batched pass's operand plan meets it
-    ], ids=["interp", "fast"])
-    def test_overflow_through_a_simulated_run(self, engine, text):
+    @pytest.mark.parametrize("engine", ["interp", "fast"])
+    def test_overflow_through_a_simulated_run(self, engine):
         def program():
             return Program(name="ovf", simd_width=16, instructions=[
                 _alu(Opcode.MOV, RegRef(127), [RegRef(0)]),
@@ -214,8 +211,9 @@ class TestOperandErrors:
         with pytest.raises(ValueError) as info:
             program().finalize()
         assert str(info.value) == _REGS_TEXT
-        # Past finalization, each engine's functional model meets the
-        # same operand.
+        # Past finalization, each engine meets the same operand (interp
+        # in the scan's dependency probe, fast in its operand plan) and
+        # reports it alike.
         config = GpuConfig(num_eus=1, engine=engine)
         with pytest.raises(ValueError) as info:
             if engine == "interp":
@@ -226,7 +224,7 @@ class TestOperandErrors:
                 eu.step(0)
             else:
                 run_functional(program(), 16, 16, [], {}, config)
-        assert str(info.value) == text
+        assert str(info.value) == _REGS_TEXT
 
     def test_bad_operand_type(self):
         inst = _alu(Opcode.MOV, RegRef(10), ["r0"])
@@ -289,13 +287,13 @@ class TestErrorState:
             warnings.simplefilter("error")
             execute_alu(_alu(opcode, RegRef(10), sources), FULL16, grf,
                         [0, 0])
-        assert not np.isfinite(grf.read(RegRef(10), 16)).any()
+        assert not np.isfinite(read(grf.storage, RegRef(10), 16)).any()
         assert np.geterr() == warn
 
     def test_cmp_and_sel_plans(self):
         # CMP writes only enabled flag bits; SEL picks by its selector.
         grf = RegisterFile()
-        grf.write(RegRef(0), 16, np.arange(16, dtype=np.float32), FULL16)
+        write(grf.storage, RegRef(0), 16, np.arange(16, dtype=np.float32), FULL16)
         flags = [0xF000, 0]
         execute_alu(Instruction(opcode=Opcode.CMP, width=16,
                                 sources=(RegRef(0), Imm(8.0)),
@@ -308,7 +306,7 @@ class TestErrorState:
                     FULL16, grf, flags, flags[0])
         expected = np.where([(0xF00F >> i) & 1 for i in range(16)],
                             np.arange(16), -1.0)
-        np.testing.assert_array_equal(grf.read(RegRef(2), 16), expected)
+        np.testing.assert_array_equal(read(grf.storage, RegRef(2), 16), expected)
 
 
 class _CountingErrstate(np.errstate):

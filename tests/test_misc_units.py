@@ -15,6 +15,8 @@ from repro.isa.registers import RegRef
 from repro.isa.types import DType
 from repro.memory.hierarchy import MemoryHierarchy, MemoryParams
 
+from grf_access import read, write
+
 
 def _counter_program(work=32):
     b = KernelBuilder("ctr", 16)
@@ -122,22 +124,22 @@ class TestGrfEdgeCases:
     def test_simd32_spans_four_registers(self):
         grf = RegisterFile()
         ref = RegRef(8, DType.F32)
-        grf.write(ref, 32, np.arange(32, dtype=np.float32), (1 << 32) - 1)
-        np.testing.assert_array_equal(grf.read(RegRef(11, DType.F32), 8),
+        write(grf.storage, ref, 32, np.arange(32, dtype=np.float32), (1 << 32) - 1)
+        np.testing.assert_array_equal(read(grf.storage, RegRef(11, DType.F32), 8),
                                       np.arange(24, 32))
 
     def test_f64_simd16_spans_four_registers(self):
         grf = RegisterFile()
         ref = RegRef(0, DType.F64)
-        grf.write(ref, 16, np.arange(16, dtype=np.float64), 0xFFFF)
-        np.testing.assert_array_equal(grf.read(ref, 16), np.arange(16))
+        write(grf.storage, ref, 16, np.arange(16, dtype=np.float64), 0xFFFF)
+        np.testing.assert_array_equal(read(grf.storage, ref, 16), np.arange(16))
 
     def test_partial_f64_write(self):
         grf = RegisterFile()
         ref = RegRef(0, DType.F64)
-        grf.write(ref, 8, np.full(8, 1.5, np.float64), 0xFF)
-        grf.write(ref, 8, np.full(8, 9.0, np.float64), 0x0F)
-        values = grf.read(ref, 8)
+        write(grf.storage, ref, 8, np.full(8, 1.5, np.float64), 0xFF)
+        write(grf.storage, ref, 8, np.full(8, 9.0, np.float64), 0x0F)
+        values = read(grf.storage, ref, 8)
         np.testing.assert_array_equal(values[:4], 9.0)
         np.testing.assert_array_equal(values[4:], 1.5)
 
